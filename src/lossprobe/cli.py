@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .core import (
     ClassLabeling,
+    DecimalScore,
     ExactScore,
     Labeling,
     PredictionMatrix,
@@ -55,9 +56,9 @@ from .mia import (
     AttackMode,
     AttackReport,
     CandidateSet,
+    CuratorOracle,
     MembershipVector,
-    ScoringView,
-    curator_oracle,
+    _sub_labels,
     fixed_precision_attack,
     one_query_attack,
     run_demo,
@@ -88,7 +89,7 @@ def _read_text(source: str) -> str:
 def _parse_doc(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too deep, or ints too wide
         raise ValidationError(f"document does not parse as JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
@@ -96,10 +97,10 @@ def _parse_doc(text: str) -> dict:
 
 
 def _entries_vector(doc: dict) -> PredictionVector | PredictionMatrix:
-    entries = doc["entries"]
+    entries = doc.get("entries")
     if not isinstance(entries, list) or not entries:
         raise ValidationError("entries must be a non-empty list")
-    if isinstance(entries[0], list):
+    if all(isinstance(row, list) for row in entries):
         rows = tuple(tuple(parse_rational(x) for x in row) for row in entries)
         return PredictionMatrix(rows)
     return PredictionVector(tuple(parse_rational(x) for x in entries))
@@ -111,9 +112,11 @@ def _doc_size(doc: dict) -> int:
         entries = doc["entries"]
         if not isinstance(entries, list):
             raise ValidationError("entries must be a list")
+        if not entries:
+            raise ValidationError("entries must be a non-empty list")
         return len(entries)
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true is not 1
         raise ValidationError("document needs entries or a positive n")
     return n
 
@@ -167,10 +170,38 @@ def _cmd_build(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- score
 
 
+def _respond(
+    doc: dict, labels: Labeling, mode: str, phi: int | None
+) -> ExactScore | tuple[DecimalScore, DecimalScore]:
+    """Score a vector document against labels: the one request path.
+
+    `score` and `oracle-serve` both answer through here.  A named binary
+    document is answered in closed form in decimal mode and stops at the
+    wire cap in exact mode; any other document is built and scored.
+    """
+    size = _doc_size(doc)
+    if len(labels) != size:
+        raise ValidationError(f"vector has {size} entries but labels carry {len(labels)}")
+    by_name = "entries" not in doc
+    binary = by_name and doc.get("kind") == "binary"
+    if mode == "decimal" and binary:
+        return binary_decimal_response(labels, phi)
+    cap = DEFAULT_LIMITS.binary_wire_max_n
+    if binary and size > cap:
+        raise ValidationError(
+            f"exact binary responses are capped at n = {cap} on the wire; use decimal mode"
+        )
+    vec = _named_vector(doc, size) if by_name else _entries_vector(doc)
+    if not isinstance(vec, PredictionVector):
+        raise ValidationError("the membership oracle scores binary labelings only")
+    if mode == "exact":
+        return exact_score(vec, labels)
+    return logloss_decimal(vec, labels, phi), auc(vec, labels, phi)
+
+
 def _cmd_score(args: argparse.Namespace) -> int:
     doc = _parse_doc(_read_text(args.vector))
-    kind = doc.get("kind")
-    if kind == "multiclass":
+    if doc.get("kind") == "multiclass":
         if args.mode == "decimal":
             raise ValidationError("decimal reporting covers binary labels only")
         k = doc.get("K")
@@ -180,34 +211,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
         matrix = _entries_vector(doc)
         if not isinstance(matrix, PredictionMatrix):
             raise ValidationError("multiclass document needs a matrix of entries")
-        score = exact_score_multiclass(matrix, labels)
-        _emit({"escore": format_rational(score.value), "n": score.n}, args.out)
-        return 0
-
-    labels = Labeling.from_string(args.labels)
-    by_name = "entries" not in doc
-    size = _doc_size(doc)
-    if len(labels) != size:
-        raise ValidationError(f"vector has {size} entries but labels carry {len(labels)}")
-    if args.mode == "decimal":
-        if by_name and kind == "binary":
-            ll, auc_score = binary_decimal_response(labels, args.phi)
-        else:
-            vec = _named_vector(doc, size) if by_name else _entries_vector(doc)
-            assert isinstance(vec, PredictionVector)
-            ll = logloss_decimal(vec, labels, args.phi)
-            auc_score = auc(vec, labels, args.phi)
+        response = exact_score_multiclass(matrix, labels)
+    else:
+        response = _respond(doc, Labeling.from_string(args.labels), args.mode, args.phi)
+    if isinstance(response, ExactScore):
+        _emit({"escore": format_rational(response.value), "n": response.n}, args.out)
+    else:
+        ll, auc_score = response
         _emit({"ll": ll.wire(), "auc": auc_score.wire(), "phi": args.phi}, args.out)
-        return 0
-    if by_name and kind == "binary" and size > DEFAULT_LIMITS.binary_wire_max_n:
-        raise ValidationError(
-            f"an exact binary score past n = {DEFAULT_LIMITS.binary_wire_max_n} "
-            "does not fit on a wire; use decimal mode"
-        )
-    vec = _named_vector(doc, size) if by_name else _entries_vector(doc)
-    assert isinstance(vec, PredictionVector)
-    score = exact_score(vec, labels)
-    _emit({"escore": format_rational(score.value), "n": score.n}, args.out)
     return 0
 
 
@@ -260,53 +271,24 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- serve
 
 
-class _LengthMismatch(ValidationError):
-    """Request length disagrees with the candidate set or its indices."""
-
-
-def _request_indices(doc: dict) -> list[int] | None:
-    indices = doc.get("indices")
-    if indices is None:
-        return None
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
-        raise ValidationError("indices must be a list of integers")
-    return indices
-
-
-def _serve_one(oracle, doc_text: str, mode: str, phi: int | None) -> str:
+def _serve_one(hidden: Labeling, doc_text: str, mode: str, phi: int | None) -> str:
     doc = _parse_doc(doc_text)
-    indices = _request_indices(doc)
-    size = _doc_size(doc)
-    expected = len(indices) if indices is not None else oracle.n
-    if size != expected:
-        raise _LengthMismatch("length")
-    by_name = "entries" not in doc
-    kind = doc.get("kind")
-    if mode == "exact":
-        if by_name and kind == "binary" and size > DEFAULT_LIMITS.binary_wire_max_n:
-            raise ValidationError(
-                f"exact binary responses are capped at n = "
-                f"{DEFAULT_LIMITS.binary_wire_max_n} on the wire"
-            )
-        vec = _named_vector(doc, size) if by_name else _entries_vector(doc)
-        if not isinstance(vec, PredictionVector):
-            raise ValidationError("the membership oracle scores binary labelings only")
-        score = oracle.exact_response(vec.entries, indices)
-        return "ESCORE " + format_rational(score.value)
-    assert phi is not None
-    if by_name and kind == "binary":
-        ll, auc_score = oracle.decimal_scores_for_binary(size, phi, indices)
-    else:
-        vec = _named_vector(doc, size) if by_name else _entries_vector(doc)
-        if not isinstance(vec, PredictionVector):
-            raise ValidationError("the membership oracle scores binary labelings only")
-        ll, auc_score = oracle.decimal_scores(vec.entries, phi, indices)
+    indices = doc.get("indices")
+    # type(), not isinstance: JSON true must not pass as index 1
+    if indices is not None and (
+        not isinstance(indices, list) or any(type(i) is not int for i in indices)
+    ):
+        raise ValidationError("indices must be a list of integers")
+    labels = _sub_labels(hidden, _doc_size(doc), indices)
+    response = _respond(doc, labels, mode, phi)
+    if isinstance(response, ExactScore):
+        return "ESCORE " + format_rational(response.value)
+    ll, auc_score = response
     return f"LL {ll.wire()} AUC {auc_score.wire()}"
 
 
 def _cmd_oracle_serve(args: argparse.Namespace) -> int:
-    hidden = MembershipVector(Labeling.from_string(_read_text(args.labels).strip()))
-    oracle = curator_oracle(hidden)
+    hidden = Labeling.from_string(_read_text(args.labels).strip())
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
@@ -317,9 +299,7 @@ def _cmd_oracle_serve(args: argparse.Namespace) -> int:
             print("ERR unknown command", flush=True)
             continue
         try:
-            response = _serve_one(oracle, line[6:], args.mode, args.phi)
-        except _LengthMismatch:
-            response = "ERR length"
+            response = _serve_one(hidden, line[6:], args.mode, args.phi)
         except LossProbeError as e:
             response = "ERR " + " ".join(str(e).split())
         print(response, flush=True)
@@ -329,29 +309,26 @@ def _cmd_oracle_serve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- attack
 
 
-class _RemoteCurator:
-    """Client half of the oracle protocol, plus local ground truth.
+class _RemoteCurator(CuratorOracle):
+    """A curator whose answers come from an `oracle-serve` process.
 
-    The attack code only ever receives scoring_view(), whose methods
-    serialize requests onto the pipe; the hidden bits stay here, on the
-    curator's side of the process boundary, for after-the-fact grading.
+    The three answer methods serialize each request onto the pipe; the
+    hidden bits stay here, on the curator's side of the process boundary,
+    for after-the-fact grading.
     """
 
     def __init__(self, proc: subprocess.Popen, hidden: MembershipVector, phi: int | None):
+        super().__init__(hidden)
         self._proc = proc
-        self._hidden = hidden
         self._phi = phi
-        self._sent = 0
 
-    @property
-    def queries_used(self) -> int:
-        return self._sent
-
-    def _ask(self, doc: dict) -> str:
+    def _ask(self, doc: dict, indices) -> str:
         assert self._proc.stdin is not None and self._proc.stdout is not None
+        if indices is not None:
+            doc["indices"] = list(indices)
         self._proc.stdin.write("SCORE " + _dump(doc) + "\n")
         self._proc.stdin.flush()
-        self._sent += 1
+        self._queries += 1
         line = self._proc.stdout.readline()
         if not line:
             raise OracleProtocolError("oracle closed the stream mid-session")
@@ -360,7 +337,12 @@ class _RemoteCurator:
             raise OracleProtocolError(line[4:] or "unspecified oracle error")
         return line
 
-    def _decimal_pair(self, line: str, phi: int):
+    def _decimal_pair(self, doc: dict, phi: int, indices):
+        if phi != self._phi:
+            raise OracleProtocolError(
+                f"oracle serves {self._phi} significant digits, not {phi}"
+            )
+        line = self._ask(doc, indices)
         parts = line.split(" ")
         if len(parts) != 4 or parts[0] != "LL" or parts[2] != "AUC":
             raise OracleProtocolError(f"malformed decimal response: {line!r}")
@@ -369,46 +351,21 @@ class _RemoteCurator:
             parse_decimal_score(parts[3], phi, ScoreKind.AUC),
         )
 
-    def _check_phi(self, phi: int) -> None:
-        if phi != self._phi:
-            raise OracleProtocolError(
-                f"oracle serves {self._phi} significant digits, not {phi}"
-            )
-
     def exact_response(self, entries, indices=None) -> ExactScore:
-        doc: dict = {"entries": [format_rational(Fraction(e)) for e in entries]}
-        if indices is not None:
-            doc["indices"] = list(indices)
-        line = self._ask(doc)
+        line = self._ask(_entries_doc(entries), indices)
         if not line.startswith("ESCORE "):
             raise OracleProtocolError(f"expected ESCORE, got {line!r}")
         return ExactScore(value=parse_rational(line[7:]), n=len(entries))
 
     def decimal_scores(self, entries, phi, indices=None):
-        self._check_phi(phi)
-        doc: dict = {"entries": [format_rational(Fraction(e)) for e in entries]}
-        if indices is not None:
-            doc["indices"] = list(indices)
-        return self._decimal_pair(self._ask(doc), phi)
+        return self._decimal_pair(_entries_doc(entries), phi, indices)
 
     def decimal_scores_for_binary(self, n, phi, indices=None):
-        self._check_phi(phi)
-        doc: dict = {"kind": "binary", "n": n}
-        if indices is not None:
-            doc["indices"] = list(indices)
-        return self._decimal_pair(self._ask(doc), phi)
+        return self._decimal_pair({"kind": "binary", "n": n}, phi, indices)
 
-    def assess(self, claimed: MembershipVector) -> Fraction:
-        truth = self._hidden.bits.bits
-        if len(claimed) != len(truth):
-            raise ValidationError("claimed vector has the wrong length")
-        hits = sum(a == b for a, b in zip(claimed.bits.bits, truth))
-        return Fraction(hits, len(truth))
 
-    def scoring_view(self) -> ScoringView:
-        return ScoringView(
-            self.exact_response, self.decimal_scores, self.decimal_scores_for_binary
-        )
+def _entries_doc(entries) -> dict:
+    return {"entries": [format_rational(Fraction(e)) for e in entries]}
 
 
 def _subprocess_demo(
@@ -604,12 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_flag_combos(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.command == "score":
-        if args.mode == "decimal" and args.phi is None:
-            parser.error("--mode decimal needs --phi")
-        if args.mode == "exact" and args.phi is not None:
-            parser.error("--phi only applies to --mode decimal")
-    if args.command == "oracle-serve":
+    if args.command in ("score", "oracle-serve"):
         if args.mode == "decimal" and args.phi is None:
             parser.error("--mode decimal needs --phi")
         if args.mode == "exact" and args.phi is not None:

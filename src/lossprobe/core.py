@@ -21,16 +21,15 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import ContextManager, Iterable, Iterator
 
 from .errors import ValidationError
-
-Rational = Fraction
 
 
 def coprime_fraction(numerator: int, denominator: int) -> Fraction:
@@ -136,7 +135,9 @@ class PredictionVector:
             if not isinstance(x, Fraction):
                 raise ValidationError("entries must be Fractions")
             if not 0 < x < 1:
-                raise ValidationError(f"prediction {x} outside the open interval (0, 1)")
+                raise ValidationError(
+                    f"prediction {_wide_str(x)} outside the open interval (0, 1)"
+                )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -438,26 +439,49 @@ def auc(x: PredictionVector, labels: Labeling, phi: int) -> DecimalScore:
     return DecimalScore(digits=round_fraction_sig(value, phi), phi=phi, kind=ScoreKind.AUC)
 
 
-def _allow_int_digits(digits: int) -> None:
-    # scores can carry integers past the interpreter's int<->str cap
-    # (4300 digits by default); widen it rather than truncate the wire
+_int_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0 means no cap
+_NOT_WIDENED = nullcontext()
+
+
+def _int_digits(digits: int) -> ContextManager[None]:
+    """Let int<->str conversions of this many digits through, then restore.
+
+    Scores can carry integers past the interpreter's conversion cap (4300
+    digits by default); the cap is widened for the one conversion rather
+    than truncating the wire, and never left widened for the process.
+    """
+    cap = _int_cap()
+    return _widened(cap, digits) if cap and digits > cap else _NOT_WIDENED
+
+
+@contextmanager
+def _widened(cap: int, digits: int) -> Iterator[None]:
+    sys.set_int_max_str_digits(digits + 10)
     try:
-        current = sys.get_int_max_str_digits()
-    except AttributeError:
-        return
-    if current and digits > current:
-        sys.set_int_max_str_digits(digits + 10)
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _wide_str(value: int | Fraction) -> str:
+    """str(value) at any width, for messages that quote a score's parts."""
+    value = Fraction(value)
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    with _int_digits(bits * 302 // 1000 + 3):
+        return str(value)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' (or a bare integer) into a positive reduced Fraction."""
-    _allow_int_digits(len(text))
+    if not isinstance(text, str):
+        raise ValidationError(f"not a rational: {text!r}")
     try:
-        if "/" in text:
-            p_text, q_text = text.split("/", 1)
-            value = Fraction(int(p_text), int(q_text))
-        else:
-            value = Fraction(int(text))
+        with _int_digits(len(text)):
+            if "/" in text:
+                p_text, q_text = text.split("/", 1)
+                value = Fraction(int(p_text), int(q_text))
+            else:
+                value = Fraction(int(text))
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a rational: {text!r}") from None
     if value <= 0:
@@ -467,8 +491,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    _allow_int_digits(bits * 302 // 1000 + 3)
-    return f"{value.numerator}/{value.denominator}"
+    with _int_digits(bits * 302 // 1000 + 3):
+        return f"{value.numerator}/{value.denominator}"
 
 
 def prediction_vector(entries: Iterable[Fraction | str]) -> PredictionVector:

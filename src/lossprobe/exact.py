@@ -30,6 +30,7 @@ from .core import (
     PredictionVector,
     ScoreKind,
     _round_decimal_sig,
+    _wide_str,
     coprime_fraction,
     round_fraction_sig,
 )
@@ -108,7 +109,9 @@ def decode_twin_prime_value(value: Fraction, limits: Limits = DEFAULT_LIMITS) ->
             table = twin_primes(len(table) * 2)
         upper = table.primes[n] + 2
         if rest % upper:
-            raise DecodeError(f"numerator has an unexpected factor (stuck at {rest})")
+            raise DecodeError(
+                f"numerator has an unexpected factor (stuck at {_wide_str(rest)})"
+            )
         rest //= upper
         if rest % upper == 0:
             raise DecodeError(f"numerator contains {upper} twice")
@@ -118,7 +121,9 @@ def decode_twin_prime_value(value: Fraction, limits: Limits = DEFAULT_LIMITS) ->
     lowers = table.primes[:n]
     parts = factor_over(denominator, (2, *lowers))
     if parts.leftover != 1:
-        raise DecodeError(f"denominator has a foreign factor {parts.leftover}")
+        raise DecodeError(
+            f"denominator has a foreign factor {_wide_str(parts.leftover)}"
+        )
     bits = [0] * n
     for i, p in enumerate(lowers):
         e = parts.exponents.get(p, 0)
@@ -349,7 +354,9 @@ def decode_multiclass(
         raise DecodeError("score does not divide the alpha product")
     parts = factor_over(m.numerator, primes)
     if parts.leftover != 1:
-        raise DecodeError(f"label product has a foreign factor {parts.leftover}")
+        raise DecodeError(
+            f"label product has a foreign factor {_wide_str(parts.leftover)}"
+        )
     classes = []
     for p in primes:
         e = parts.exponents.get(p, 0)

@@ -134,6 +134,25 @@ class Curator(Protocol):
     def assess(self, claimed: MembershipVector) -> Fraction: ...
 
 
+def _sub_labels(hidden: Labeling, count: int, indices: Sequence[int] | None) -> Labeling:
+    """The hidden labels that a query of count predictions at indices is scored on.
+
+    The one index check for every curator, local or served, made before
+    any prediction vector is built.
+    """
+    bits = hidden.bits
+    if count != (len(bits) if indices is None else len(indices)):
+        raise ValidationError("length")
+    if indices is None:
+        return hidden
+    if len(set(indices)) != len(indices):
+        raise ValidationError("queried indices must be distinct")
+    for i in indices:
+        if not 0 <= i < len(bits):
+            raise ValidationError(f"index {i} outside the candidate set")
+    return Labeling(tuple(bits[i] for i in indices))
+
+
 class CuratorOracle:
     """Holds the hidden membership bits and reports scores truthfully.
 
@@ -154,27 +173,10 @@ class CuratorOracle:
     def queries_used(self) -> int:
         return self._queries
 
-    def _sub_labels(self, count: int, indices: Sequence[int] | None) -> Labeling:
-        bits = self.__hidden.bits.bits
-        if indices is None:
-            if count != len(bits):
-                raise ValidationError(
-                    f"expected {len(bits)} predictions, got {count}"
-                )
-            return Labeling(bits)
-        if len(indices) != count:
-            raise ValidationError("one prediction per queried index")
-        if len(set(indices)) != len(indices):
-            raise ValidationError("queried indices must be distinct")
-        for i in indices:
-            if not 0 <= i < len(bits):
-                raise ValidationError(f"index {i} outside the candidate set")
-        return Labeling(tuple(bits[i] for i in indices))
-
     def exact_response(
         self, entries: Sequence[Fraction], indices: Sequence[int] | None = None
     ) -> ExactScore:
-        labels = self._sub_labels(len(entries), indices)
+        labels = _sub_labels(self.__hidden.bits, len(entries), indices)
         self._queries += 1
         return exact_score(PredictionVector(tuple(map(Fraction, entries))), labels)
 
@@ -184,7 +186,7 @@ class CuratorOracle:
         phi: int,
         indices: Sequence[int] | None = None,
     ) -> tuple[DecimalScore, DecimalScore]:
-        labels = self._sub_labels(len(entries), indices)
+        labels = _sub_labels(self.__hidden.bits, len(entries), indices)
         vec = PredictionVector(tuple(map(Fraction, entries)))
         self._queries += 1
         return logloss_decimal(vec, labels, phi), auc(vec, labels, phi)
@@ -192,7 +194,7 @@ class CuratorOracle:
     def decimal_scores_for_binary(
         self, n: int, phi: int, indices: Sequence[int] | None = None
     ) -> tuple[DecimalScore, DecimalScore]:
-        labels = self._sub_labels(n, indices)
+        labels = _sub_labels(self.__hidden.bits, n, indices)
         self._queries += 1
         return binary_decimal_response(labels, phi, self._limits)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .core import (
     DecimalScore,
@@ -39,6 +39,9 @@ from .exact import (
     decode_binary_from_decimal,
     required_precision_binary,
 )
+
+if TYPE_CHECKING:  # mia imports this module
+    from .mia import ScoringView
 
 __all__ = [
     "min_digits_for_separation",
@@ -214,11 +217,11 @@ def _guard_batch_size(b: int, phi: int, limits: Limits) -> None:
         )
 
 
-def _tuple_table(entries: tuple[Fraction, ...], phi: int):
-    """Map rounded tuples to labelings, or report the first collision.
+def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
+    """Map rounded tuples to labelings.
 
-    Returns the table dict on success, else (bits_a, bits_b, key) naming
-    two labelings that round to the same tuple.
+    Raises LookupBuildError naming the first two labelings that round to
+    the same (LL, AUC) tuple at phi digits.
     """
     vec = PredictionVector(entries)
     b = len(vec)
@@ -232,7 +235,11 @@ def _tuple_table(entries: tuple[Fraction, ...], phi: int):
         )
         other = table.get(key)
         if other is not None:
-            return other, bits, key
+            raise LookupBuildError(
+                f"labelings {''.join(map(str, other))} and "
+                f"{''.join(map(str, bits))} both round to {key} "
+                f"at {phi} significant digits"
+            )
         table[key] = bits
     return table
 
@@ -247,15 +254,7 @@ def tuple_lookup_for(
     """
     vec = tuple(Fraction(e) for e in entries)
     _guard_batch_size(len(vec), phi, limits)
-    table = _tuple_table(vec, phi)
-    if not isinstance(table, dict):
-        first, second, key = table
-        raise LookupBuildError(
-            f"labelings {''.join(map(str, first))} and "
-            f"{''.join(map(str, second))} both round to {key} "
-            f"at {phi} significant digits"
-        )
-    return TupleLookup(entries=vec, phi=phi, table=table)
+    return TupleLookup(entries=vec, phi=phi, table=_tuple_table(vec, phi))
 
 
 def _candidate_vectors(b: int, phi: int) -> Iterator[tuple[Fraction, ...]]:
@@ -296,9 +295,10 @@ def build_tuple_lookup(
         if tried >= budget:
             break
         tried += 1
-        table = _tuple_table(entries, phi)
-        if isinstance(table, dict):
-            return TupleLookup(entries=entries, phi=phi, table=table)
+        try:
+            return TupleLookup(entries=entries, phi=phi, table=_tuple_table(entries, phi))
+        except LookupBuildError:
+            continue
     raise LookupBuildError(
         f"no injective {b}-point vector found at {phi} significant digits "
         f"after {tried} candidates; retry with a smaller batch"
@@ -315,24 +315,6 @@ def _cached_lookup(b: int, phi: int, limits: Limits) -> TupleLookup:
         found = build_tuple_lookup(b, phi, limits=limits)
         _LOOKUP_CACHE[key] = found
     return found
-
-
-class ScoringOracle(Protocol):
-    """What batched_inference needs from the curator's reporting side."""
-
-    def decimal_scores(
-        self, entries: Sequence[Fraction], phi: int, indices: Sequence[int] | None = None
-    ) -> tuple[DecimalScore, DecimalScore]:
-        """Return (log loss, AUC) at phi digits for predictions on the
-        given dataset indices (the whole dataset when indices is None)."""
-        ...
-
-    def decimal_scores_for_binary(
-        self, n: int, phi: int, indices: Sequence[int] | None = None
-    ) -> tuple[DecimalScore, DecimalScore]:
-        """Same, for the named binary construction of size n; the entries
-        are too large to ship once n passes the low thirties."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -416,7 +398,7 @@ def plan_batches(n: int, phi: int, limits: Limits = DEFAULT_LIMITS) -> AttackPla
 
 
 def batched_inference(
-    oracle: ScoringOracle,
+    oracle: ScoringView,
     n: int,
     phi: int,
     limits: Limits = DEFAULT_LIMITS,

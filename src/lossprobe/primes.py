@@ -88,23 +88,6 @@ class TwinPrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def position(self, p: int) -> int:
-        """1-based index of p in the table."""
-        lookup = _position_index(self.primes)
-        try:
-            return lookup[p]
-        except KeyError:
-            raise ValidationError(f"{p} is not in the twin-prime table") from None
-
-    def upper(self, index: int) -> int:
-        """The paired upper twin p + 2 for the 1-based index."""
-        return self.primes[index - 1] + 2
-
-
-@lru_cache(maxsize=64)
-def _position_index(primes: tuple[int, ...]) -> Mapping[int, int]:
-    return {p: i + 1 for i, p in enumerate(primes)}
-
 
 @lru_cache(maxsize=8)
 def twin_primes(n: int) -> TwinPrimeTable:
@@ -127,23 +110,12 @@ def twin_primes(n: int) -> TwinPrimeTable:
         limit *= 2
 
 
-def twin_index(p: int, table: TwinPrimeTable) -> int:
-    """1-based position of lower twin p in the table; error if absent."""
-    return table.position(p)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Exponents of the allowed primes plus whatever refused to divide."""
 
     exponents: Mapping[int, int]
     leftover: int
-
-    def reconstruct(self) -> int:
-        out = self.leftover
-        for p, e in self.exponents.items():
-            out *= p**e
-        return out
 
 
 def factor_over(value: int, primes: Iterable[int]) -> Factorization:

@@ -1,14 +1,17 @@
 """Command-line interface: documents, exit codes, and the oracle protocol."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lossprobe.cli import main
-from lossprobe.core import Labeling
+from lossprobe.core import Labeling, parse_rational
 from lossprobe.exact import binary_decimal_response
 
 
@@ -152,6 +155,22 @@ def test_score_length_mismatch_fails(capsys):
     )
     assert code == 1
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize(
+    "doc,labels",
+    [
+        ('{"entries":[["1/2","1/2"]]}', "1"),  # a matrix not marked multiclass
+        ('{"kind":"multiclass","K":3,"n":2}', "1,2"),  # multiclass without entries
+    ],
+)
+def test_score_malformed_document_fails(capsys, doc, labels):
+    code, out, stderr = run_cli(
+        capsys, "score", "--vector", "-", "--labels", labels, stdin_text=doc
+    )
+    assert code == 1
+    assert out == ""
+    assert stderr.startswith("error: ")
 
 
 def test_score_flag_combos_rejected(capsys):
@@ -319,6 +338,162 @@ def test_protocol_error_reports_reason(tmp_path):
     assert code == 0
     assert out.startswith("ERR ")
     assert "interval" in out
+
+
+# the oracle protocol, in process: every line gets exactly one answer
+
+HIDDEN_16 = "1011001110001011"
+
+
+@pytest.fixture(scope="module")
+def hidden_16(tmp_path_factory):
+    path = tmp_path_factory.mktemp("serve") / "hidden.bits"
+    path.write_text(HIDDEN_16 + "\n")
+    return path
+
+
+def serve_in_process(labels_path, lines, *mode):
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO("".join(line + "\n" for line in lines))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["oracle-serve", "--labels", str(labels_path), "--mode", *mode])
+    finally:
+        sys.stdin = old
+    return code, out.getvalue(), err.getvalue()
+
+
+# a well-formed request after each bad one shows the session survived it;
+# hidden bit 1 is 0, so 5/7 there scores 1 / (1 - 5/7) = 7/2
+FOLLOW_UP = 'SCORE {"entries":["5/7"],"indices":[1]}'
+
+
+def test_serve_answers_non_string_entries(hidden_16):
+    lines = ['SCORE {"entries":[1],"indices":[0]}', FOLLOW_UP]
+    assert serve_in_process(hidden_16, lines, "exact") == (
+        0, "ERR not a rational: 1\nESCORE 7/2\n", ""
+    )
+
+
+def test_serve_answers_deeply_nested_json(hidden_16):
+    lines = ["SCORE " + "[" * 200_000, FOLLOW_UP]
+    code, out, err = serve_in_process(hidden_16, lines, "exact")
+    assert (code, err) == (0, "")
+    first, second = out.splitlines()
+    assert first.startswith("ERR document does not parse as JSON:")
+    assert second == "ESCORE 7/2"
+
+
+def test_serve_rejects_boolean_indices(hidden_16):
+    lines = ['SCORE {"entries":["5/7"],"indices":[true]}', FOLLOW_UP]
+    assert serve_in_process(hidden_16, lines, "exact") == (
+        0, "ERR indices must be a list of integers\nESCORE 7/2\n", ""
+    )
+
+
+def test_serve_rejects_boolean_n(hidden_16):
+    lines = ['SCORE {"kind":"twin","n":true,"indices":[0]}', FOLLOW_UP]
+    assert serve_in_process(hidden_16, lines, "exact") == (
+        0, "ERR document needs entries or a positive n\nESCORE 7/2\n", ""
+    )
+
+
+def test_serve_quotes_entries_wider_than_the_digit_cap(hidden_16):
+    wide = "1" * 5000 + "/3"
+    lines = ['SCORE {"entries":["%s"],"indices":[0]}' % wide, FOLLOW_UP]
+    assert serve_in_process(hidden_16, lines, "exact") == (
+        0, f"ERR prediction {wide} outside the open interval (0, 1)\nESCORE 7/2\n", ""
+    )
+
+
+# Pinned wire text: one request per line, each with a single fault, and
+# the ERR line it must get in either mode.
+WIRE_ERRORS = {
+    "SCORE {not json": "ERR document does not parse as JSON: Expecting property name "
+    "enclosed in double quotes: line 1 column 2 (char 1)",
+    "SCORE [1,2]": "ERR document must be a JSON object",
+    'SCORE {"entries":["3/2","1/2"],"indices":[0,1]}':
+        "ERR prediction 3/2 outside the open interval (0, 1)",
+    'SCORE {"entries":["1/2"],"indices":[0,1]}': "ERR length",
+    'SCORE {"entries":["1/2"],"indices":[99999]}': "ERR index 99999 outside the candidate set",
+    'SCORE {"kind":"twin","indices":[0]}': "ERR document needs entries or a positive n",
+    "FROB 1": "ERR unknown command",
+    'SCORE {"entries":["1/2","1/2"]}': "ERR length",
+    'SCORE {"entries":["0/1"],"indices":[0]}': "ERR expected a positive rational, got '0/1'",
+    'SCORE {"entries":["1/2","1/3"],"indices":[3,3]}': "ERR queried indices must be distinct",
+    'SCORE {"kind":"pentagon","n":2,"indices":[0,1]}':
+        "ERR cannot build entries for kind 'pentagon'",
+    'SCORE {"entries":["x/2"],"indices":[0]}': "ERR not a rational: 'x/2'",
+    'SCORE {"entries":[],"indices":[]}': "ERR entries must be a non-empty list",
+    'SCORE {"entries":"5/7"}': "ERR entries must be a list",
+    'SCORE {"kind":"twin","n":0,"indices":[]}': "ERR document needs entries or a positive n",
+    'SCORE {"entries":["5/7"],"indices":[-1]}': "ERR index -1 outside the candidate set",
+    'SCORE {"entries":["5/7"],"indices":"0"}': "ERR indices must be a list of integers",
+    'SCORE {"entries":[["1/2","1/2"]],"indices":[0]}':
+        "ERR the membership oracle scores binary labelings only",
+}
+
+
+@pytest.mark.parametrize("mode", [("exact",), ("decimal", "--phi", "3")])
+def test_serve_wire_bytes(hidden_16, mode):
+    lines = [*WIRE_ERRORS, 'SCORE {"kind":"binary","n":16}']
+    cap = sys.get_int_max_str_digits()
+    code, out, err = serve_in_process(hidden_16, lines, *mode)
+    assert (code, err) == (0, "")
+    *errors, binary = out.splitlines()
+    assert errors == list(WIRE_ERRORS.values())
+    if mode == ("exact",):
+        # the 19729-digit score goes out whole, and the digit cap is left as found
+        assert sys.get_int_max_str_digits() == cap
+        exponent = sum(int(bit) << i for i, bit in enumerate(HIDDEN_16))
+        assert binary.startswith("ESCORE ")
+        assert parse_rational(binary[7:]) == Fraction((1 << (1 << 16)) - 1, 1 << exponent)
+    else:
+        assert binary == "LL 5.12e2 AUC 4.92e-1"
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 20)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["1/2", "5/7", "2/3", "0/1", "3/2"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=6,
+)
+REQUESTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "entries": st.lists(JSON_SCALARS, max_size=4) | JSON_VALUES,
+        "indices": st.lists(st.integers(-1, 17), max_size=4) | JSON_VALUES,
+        "kind": st.sampled_from(["twin", "binary", "multiclass"]) | JSON_VALUES,
+        "n": st.integers(-1, 17) | JSON_VALUES,
+    },
+)
+ANY_TEXT = st.text(st.characters(blacklist_characters="\n"), max_size=30)
+LINES = ANY_TEXT | ANY_TEXT.map("SCORE ".__add__) | REQUESTS.map(
+    lambda doc: "SCORE " + json.dumps(doc)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LINES, max_size=6), st.sampled_from([("exact",), ("decimal", "--phi", "3")]))
+def test_serve_answers_every_line(hidden_16, lines, mode):
+    code, out, err = serve_in_process(hidden_16, lines, *mode)
+    asked = []
+    for line in lines:
+        if line.strip() == "QUIT":
+            break
+        if line.strip():
+            asked.append(line)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == len(asked)
+    assert out == "" or out.endswith("\n")
 
 
 # attack demo

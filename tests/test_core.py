@@ -1,5 +1,6 @@
 """Exact scores, rounding, and serialization against independent oracles."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -265,15 +266,23 @@ def test_rational_roundtrip(num, den):
 
 
 def test_rational_roundtrip_past_interpreter_digit_cap():
-    # 7**6000 has about 5071 digits, past the default 4300-digit str cap
+    # 7**6000 has about 5071 digits, past the default 4300-digit str cap;
+    # the cap is widened for each conversion only, never for the process
     value = F(7**6000, 3)
-    text = format_rational(value)
-    assert len(text) > 4300
-    assert parse_rational(text) == value
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = format_rational(value)
+        assert sys.get_int_max_str_digits() == 4300
+        assert len(text) > 4300
+        assert parse_rational(text) == value
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_parse_rational_rejections():
-    for bad in ("abc", "1/0", "-3/4", "0", "0/5", "1/2/3", ""):
+    for bad in ("abc", "1/0", "-3/4", "0", "0/5", "1/2/3", "", 1, None, ["1/2"]):
         with pytest.raises(ValidationError):
             parse_rational(bad)
 

@@ -108,6 +108,10 @@ def test_twin_limit_enforced():
         F(1729, 170) / 5,       # lower twin removed
         F(1729 * 23, 170),      # prime from outside the table
         F(170, 1729),           # reciprocal is smaller than 1 on top
+        # parts wider than the interpreter's 4300-digit int-to-str cap,
+        # which the error message still quotes whole
+        F((1 << (1 << 15)) - 1, 2),
+        F(7, 2 * 13**5000),
     ],
 )
 def test_twin_decode_rejects_tampered_values(value):
@@ -295,6 +299,9 @@ def test_multiclass_tamper_rejected():
     with pytest.raises(DecodeError):
         # denominator exponent 4 exceeds the k - 1 = 2 a label can produce
         decode_multiclass(ExactScore(value=F(91, 48), n=2), 2, 3)
+    with pytest.raises(DecodeError, match="foreign factor"):
+        # a foreign factor wider than the int-to-str cap
+        decode_multiclass(ExactScore(value=F(91, 18 * 13**5000), n=2), 2, 3)
 
 
 def test_multiclass_all_denominators_are_codewords():

