@@ -42,7 +42,6 @@ from .core import (
 )
 from .errors import LossProbeError, OracleProtocolError, ValidationError
 from .exact import (
-    DEFAULT_LIMITS,
     binary_decimal_response,
     build_binary_vector,
     build_multiclass_matrix,
@@ -66,6 +65,9 @@ from .mia import (
 from .precision import min_digits_for_separation, plan_batches
 
 DEFAULT_SEED = 7
+# past this, binary entries and scores are walls of digits on the wire
+# (the exponent doubles per point and str() of an int is quadratic)
+BINARY_WIRE_MAX_N = 16
 
 
 def _dump(doc: dict) -> str:
@@ -151,9 +153,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.kind == "twin":
         vec = build_twin_prime_vector(args.n)
     else:
-        if args.n > DEFAULT_LIMITS.binary_wire_max_n:
+        if args.n > BINARY_WIRE_MAX_N:
             raise ValidationError(
-                f"binary entries past n = {DEFAULT_LIMITS.binary_wire_max_n} are "
+                f"binary entries past n = {BINARY_WIRE_MAX_N} are "
                 'walls of digits; score the construction by name instead: '
                 '{"kind":"binary","n":...}'
             )
@@ -186,10 +188,10 @@ def _respond(
     binary = by_name and doc.get("kind") == "binary"
     if mode == "decimal" and binary:
         return binary_decimal_response(labels, phi)
-    cap = DEFAULT_LIMITS.binary_wire_max_n
-    if binary and size > cap:
+    if binary and size > BINARY_WIRE_MAX_N:
         raise ValidationError(
-            f"exact binary responses are capped at n = {cap} on the wire; use decimal mode"
+            f"exact binary responses are capped at n = {BINARY_WIRE_MAX_N} on the wire; "
+            "use decimal mode"
         )
     vec = _named_vector(doc, size) if by_name else _entries_vector(doc)
     if not isinstance(vec, PredictionVector):
@@ -225,12 +227,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- decode
 
 
+def _is_file(raw: str) -> bool:
+    try:
+        return Path(raw).is_file()
+    except OSError:  # an inline rational longer than a file name can be
+        return False
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     raw = args.score
-    if raw == "-" or Path(raw).is_file():
-        raw_text = _read_text(raw)
-    else:
-        raw_text = raw
+    raw_text = _read_text(raw) if raw == "-" or _is_file(raw) else raw
     raw_text = raw_text.strip()
     if raw_text.startswith("{"):
         doc = _parse_doc(raw_text)

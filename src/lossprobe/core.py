@@ -207,7 +207,9 @@ class ExactScore:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError("score needs a positive dataset size")
-        if self.value <= 0:
+        # the numerator alone: Fraction <= 0 multiplies (copies) both parts,
+        # half a gigabyte each for a binary n = 32 score; denominators are > 0
+        if self.value.numerator <= 0:
             raise ValidationError("exact scores are positive by construction")
 
 

@@ -18,7 +18,6 @@ a tampered score raises DecodeError rather than decoding to wrong labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
@@ -41,26 +40,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Size guards; defaults keep demo-scale inputs from exploding."""
-
-    # entry n of the binary construction is a 2^(n-1)-bit integer, so the
-    # vector itself stops being materializable long before the score does
-    binary_max_n: int = 32
-    twin_max_n: int = 100_000
-    multiclass_max_cells: int = 10_000
-    # full all-ones numerator verification is skipped above this size
-    binary_full_verify_bits: int = 1 << 26
-    # the decimal route never touches the huge integers, only ln C(n)
-    binary_decimal_max_n: int = 4096
-    lookup_max_batch: int = 16
-    # past this, binary entries and scores are walls of digits on the wire
-    # (the exponent doubles per point and str() of an int is quadratic)
-    binary_wire_max_n: int = 16
-
-
-DEFAULT_LIMITS = Limits()
+# Size guards: they keep demo-scale inputs from exploding.
+TWIN_MAX_N = 100_000
+MULTICLASS_MAX_CELLS = 10_000
+# entry n of the binary construction is a 2^(n-1)-bit integer, so the
+# vector itself stops being materializable long before the score does
+BINARY_MAX_N = 32
+# the decimal route never touches the huge integers, only ln C(n)
+BINARY_DECIMAL_MAX_N = 4096
 
 
 class BinaryRepVector(PredictionVector):
@@ -85,17 +72,17 @@ class BinaryRepVector(PredictionVector):
         return 0, (1 << (1 << len(self.entries))) - 1
 
 
-def build_twin_prime_vector(n: int, limits: Limits = DEFAULT_LIMITS) -> PredictionVector:
+def build_twin_prime_vector(n: int) -> PredictionVector:
     """Entries p_i/(p_i + 2) over the first n lower twins (5/7, 11/13, ...)."""
     if n < 1:
         raise ValidationError("need at least one datapoint")
-    if n > limits.twin_max_n:
-        raise ValidationError(f"twin-prime construction capped at n = {limits.twin_max_n}")
+    if n > TWIN_MAX_N:
+        raise ValidationError(f"twin-prime construction capped at n = {TWIN_MAX_N}")
     table = twin_primes(n)
     return PredictionVector(tuple(Fraction(p, p + 2) for p in table.primes))
 
 
-def decode_twin_prime_value(value: Fraction, limits: Limits = DEFAULT_LIMITS) -> Labeling:
+def decode_twin_prime_value(value: Fraction) -> Labeling:
     """Recover the labeling from a bare twin-prime score value; n is inferred."""
     numerator, denominator = value.numerator, value.denominator
     # Peel upper twins off the numerator in order; the count is n.
@@ -103,7 +90,7 @@ def decode_twin_prime_value(value: Fraction, limits: Limits = DEFAULT_LIMITS) ->
     rest = numerator
     n = 0
     while rest > 1:
-        if n >= limits.twin_max_n:
+        if n >= TWIN_MAX_N:
             raise DecodeError("numerator demands more twin primes than the guard allows")
         if n >= len(table):
             table = twin_primes(len(table) * 2)
@@ -138,9 +125,9 @@ def decode_twin_prime_value(value: Fraction, limits: Limits = DEFAULT_LIMITS) ->
     return Labeling(tuple(bits))
 
 
-def decode_twin_prime(score: ExactScore, limits: Limits = DEFAULT_LIMITS) -> Labeling:
+def decode_twin_prime(score: ExactScore) -> Labeling:
     """Recover the labeling from a twin-prime exact score; n is inferred."""
-    labeling = decode_twin_prime_value(score.value, limits)
+    labeling = decode_twin_prime_value(score.value)
     if score.n != len(labeling):
         raise DecodeError(
             f"score claims n = {score.n} but the factorization encodes {len(labeling)}"
@@ -148,12 +135,12 @@ def decode_twin_prime(score: ExactScore, limits: Limits = DEFAULT_LIMITS) -> Lab
     return labeling
 
 
-def build_binary_vector(n: int, limits: Limits = DEFAULT_LIMITS) -> BinaryRepVector:
+def build_binary_vector(n: int) -> BinaryRepVector:
     """Entries a_i/(1 + a_i) with a_i = 2^(2^(i-1)): 2/3, 4/5, 16/17, ..."""
     if n < 1:
         raise ValidationError("need at least one datapoint")
-    if n > limits.binary_max_n:
-        raise ValidationError(f"binary construction capped at n = {limits.binary_max_n}")
+    if n > BINARY_MAX_N:
+        raise ValidationError(f"binary construction capped at n = {BINARY_MAX_N}")
     entries = []
     for i in range(1, n + 1):
         a = 1 << (1 << (i - 1))
@@ -161,9 +148,7 @@ def build_binary_vector(n: int, limits: Limits = DEFAULT_LIMITS) -> BinaryRepVec
     return BinaryRepVector(tuple(entries))
 
 
-def decode_binary(
-    score: ExactScore, n: int | None = None, limits: Limits = DEFAULT_LIMITS
-) -> Labeling:
+def decode_binary(score: ExactScore, n: int | None = None) -> Labeling:
     """Read the labeling out of the reduced denominator's exponent of two."""
     if n is None:
         n = score.n
@@ -173,10 +158,9 @@ def decode_binary(
     expected_bits = 1 << n
     if numerator.bit_length() != expected_bits:
         raise DecodeError("numerator is not the binary-construction product for this n")
-    if numerator.bit_length() <= limits.binary_full_verify_bits:
-        # exact all-ones check: prod (1 + a_i) == 2^(2^n) - 1
-        if numerator & (numerator + 1):
-            raise DecodeError("numerator is not the binary-construction product")
+    # exact all-ones check: prod (1 + a_i) == 2^(2^n) - 1
+    if numerator.bit_count() != expected_bits:
+        raise DecodeError("numerator is not the binary-construction product")
     if denominator.bit_count() != 1:
         raise DecodeError("denominator is not a power of two")
     exponent = denominator.bit_length() - 1
@@ -185,16 +169,23 @@ def decode_binary(
     return Labeling(tuple((exponent >> i) & 1 for i in range(n)))
 
 
+def _log10_c(n: int) -> float:
+    """Float estimate of log10 C(n), C(n) = sum_j ln(1 + 2^(2^(j-1))).
+
+    C is (2^n - 1) ln 2 plus corrections below ln 2; past n = 40 the
+    estimate moves to log space so 2.0**n cannot overflow.
+    """
+    if n > 40:
+        return n * math.log10(2) + math.log10(math.log(2))
+    return math.log10((2.0**n - 1) * math.log(2) + 0.7)
+
+
 def _log_sum_digits(n: int) -> int:
-    """Decimal digits in the integer part of sum_j ln(1 + 2^(2^(j-1)))."""
-    # the sum is (2^n - 1) ln 2 plus corrections below ln 2
-    log10_c = n * math.log10(2) + math.log10(math.log(2)) if n > 40 else math.log10(
-        (2.0**n - 1) * math.log(2) + 0.7
-    )
-    return max(1, int(log10_c) + 1)
+    """Decimal digits in the integer part of C(n)."""
+    return max(1, int(_log10_c(n)) + 1)
 
 
-def required_precision_binary(n: int, limits: Limits = DEFAULT_LIMITS) -> int:
+def required_precision_binary(n: int) -> int:
     """Significant digits phi that guarantee decode_binary_from_decimal works.
 
     Sufficient condition: the worst-case quantization error of LL at phi
@@ -202,16 +193,10 @@ def required_precision_binary(n: int, limits: Limits = DEFAULT_LIMITS) -> int:
     """
     if n < 1:
         raise ValidationError("need at least one datapoint")
-    if n > limits.binary_decimal_max_n:
-        raise ValidationError(
-            f"binary decimal route capped at n = {limits.binary_decimal_max_n}"
-        )
-    if n <= 40:
-        c = (2.0**n - 1) * math.log(2) + 0.7
-        log10_x = math.log10(4 * c / math.log(2))
-    else:
-        # log-space to dodge overflow: C ~ 2^n ln 2, X = 4 C log2(e)
-        log10_x = math.log10(4 / math.log(2)) + n * math.log10(2) + math.log10(math.log(2))
+    if n > BINARY_DECIMAL_MAX_N:
+        raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
+    # X = 4 C log2(e)
+    log10_x = math.log10(4 / math.log(2)) + _log10_c(n)
     return int(math.floor(log10_x + 1e-12)) + 2
 
 
@@ -234,9 +219,7 @@ def _binary_log_constant(n: int, prec: int) -> Decimal:
         return +total
 
 
-def decode_binary_from_decimal(
-    ll: DecimalScore, n: int, limits: Limits = DEFAULT_LIMITS
-) -> Labeling:
+def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
     """Recover the labeling from a rounded log-loss of the binary construction.
 
     Inverts LL = (C - N ln 2)/n for the integer N; rejects when the rounded
@@ -246,10 +229,8 @@ def decode_binary_from_decimal(
         raise ValidationError("need a log-loss score")
     if n < 1:
         raise ValidationError("need at least one datapoint")
-    if n > limits.binary_decimal_max_n:
-        raise ValidationError(
-            f"binary decimal route capped at n = {limits.binary_decimal_max_n}"
-        )
+    if n > BINARY_DECIMAL_MAX_N:
+        raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
     prec = _log_sum_digits(n) + max(ll.phi, 20) + 10
     with localcontext() as ctx:
         ctx.prec = prec
@@ -266,9 +247,7 @@ def decode_binary_from_decimal(
     return Labeling(tuple((nearest >> i) & 1 for i in range(n)))
 
 
-def binary_decimal_response(
-    labels: Labeling, phi: int, limits: Limits = DEFAULT_LIMITS
-) -> tuple[DecimalScore, DecimalScore]:
+def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, DecimalScore]:
     """(LL, AUC) of the binary construction against labels, in closed form.
 
     LL = (C(n) - N ln 2) / n with N the labeling's bitmask, and AUC follows
@@ -282,10 +261,8 @@ def binary_decimal_response(
     n = len(labels)
     if n < 1:
         raise ValidationError("need at least one datapoint")
-    if n > limits.binary_decimal_max_n:
-        raise ValidationError(
-            f"binary decimal route capped at n = {limits.binary_decimal_max_n}"
-        )
+    if n > BINARY_DECIMAL_MAX_N:
+        raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
     bitmask = sum(bit << i for i, bit in enumerate(labels.bits))
     sig = 2 * phi + 10
     prec = sig + _log_sum_digits(n) + 10
@@ -307,9 +284,7 @@ def binary_decimal_response(
     )
 
 
-def build_multiclass_matrix(
-    n: int, k: int, limits: Limits = DEFAULT_LIMITS
-) -> PredictionMatrix:
+def build_multiclass_matrix(n: int, k: int) -> PredictionMatrix:
     """Row i is (1, p_i, ..., p_i^(k-1)) / alpha_i over the plain primes 2, 3, 5, ...
 
     alpha_i = 1 + p_i + ... + p_i^(k-1) normalizes each row to sum 1.
@@ -318,9 +293,9 @@ def build_multiclass_matrix(
         raise ValidationError("need at least one datapoint")
     if k < 2:
         raise ValidationError("need at least two classes")
-    if n * k > limits.multiclass_max_cells:
+    if n * k > MULTICLASS_MAX_CELLS:
         raise ValidationError(
-            f"multi-class construction capped at n * k = {limits.multiclass_max_cells}"
+            f"multi-class construction capped at n * k = {MULTICLASS_MAX_CELLS}"
         )
     rows = []
     for p in first_primes(n):
@@ -329,9 +304,7 @@ def build_multiclass_matrix(
     return PredictionMatrix(tuple(rows))
 
 
-def decode_multiclass(
-    score: ExactScore, n: int, k: int, limits: Limits = DEFAULT_LIMITS
-) -> ClassLabeling:
+def decode_multiclass(score: ExactScore, n: int, k: int) -> ClassLabeling:
     """Recover class labels from a multi-class exact score.
 
     The score equals prod(alpha_i) / M with M = prod p_i^(label_i - 1);
@@ -341,9 +314,9 @@ def decode_multiclass(
         raise DecodeError(f"caller says n = {n} but the score carries n = {score.n}")
     if n < 1 or k < 2:
         raise ValidationError("need n >= 1 and k >= 2")
-    if n * k > limits.multiclass_max_cells:
+    if n * k > MULTICLASS_MAX_CELLS:
         raise ValidationError(
-            f"multi-class construction capped at n * k = {limits.multiclass_max_cells}"
+            f"multi-class construction capped at n * k = {MULTICLASS_MAX_CELLS}"
         )
     primes = first_primes(n)
     alpha_product = 1

@@ -32,8 +32,6 @@ from .core import (
 )
 from .errors import ValidationError
 from .exact import (
-    DEFAULT_LIMITS,
-    Limits,
     binary_decimal_response,
     build_binary_vector,
     build_twin_prime_vector,
@@ -160,9 +158,8 @@ class CuratorOracle:
     subset; the predictions then line up with the chosen positions.
     """
 
-    def __init__(self, hidden: MembershipVector, limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, hidden: MembershipVector):
         self.__hidden = hidden
-        self._limits = limits
         self._queries = 0
 
     @property
@@ -196,7 +193,7 @@ class CuratorOracle:
     ) -> tuple[DecimalScore, DecimalScore]:
         labels = _sub_labels(self.__hidden.bits, n, indices)
         self._queries += 1
-        return binary_decimal_response(labels, phi, self._limits)
+        return binary_decimal_response(labels, phi)
 
     def assess(self, claimed: MembershipVector) -> Fraction:
         """Curator-side accuracy of a claimed membership vector."""
@@ -212,23 +209,19 @@ class CuratorOracle:
         )
 
 
-def curator_oracle(
-    hidden: MembershipVector, limits: Limits = DEFAULT_LIMITS
-) -> CuratorOracle:
+def curator_oracle(hidden: MembershipVector) -> CuratorOracle:
     """The oracle of the simulation: truthful scores over hidden bits."""
-    return CuratorOracle(hidden, limits)
+    return CuratorOracle(hidden)
 
 
-def _recover_exact(
-    view: ScoringView, n: int, mode: AttackMode, limits: Limits
-) -> Labeling:
+def _recover_exact(view: ScoringView, n: int, mode: AttackMode) -> Labeling:
     """Adversary side of the exact modes: one query, then decode."""
     if mode is AttackMode.EXACT_TWIN:
-        vector = build_twin_prime_vector(n, limits)
-        return decode_twin_prime(view.exact_response(vector.entries), limits)
+        vector = build_twin_prime_vector(n)
+        return decode_twin_prime(view.exact_response(vector.entries))
     if mode is AttackMode.EXACT_BINARY:
-        vector = build_binary_vector(n, limits)
-        return decode_binary(view.exact_response(vector.entries), n, limits)
+        vector = build_binary_vector(n)
+        return decode_binary(view.exact_response(vector.entries), n)
     raise ValidationError(f"{mode} is not an exact mode")
 
 
@@ -236,7 +229,6 @@ def one_query_attack(
     candidates: CandidateSet,
     oracle: Curator,
     mode: AttackMode = AttackMode.EXACT_TWIN,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> AttackReport:
     """Full membership recovery from a single exact-score response.
 
@@ -244,7 +236,7 @@ def one_query_attack(
     session is misconfigured, and there is no labeling to report.
     """
     before = oracle.queries_used
-    bits = _recover_exact(oracle.scoring_view(), len(candidates), mode, limits)
+    bits = _recover_exact(oracle.scoring_view(), len(candidates), mode)
     recovered = MembershipVector(bits)
     return AttackReport(
         mode=mode,
@@ -255,14 +247,11 @@ def one_query_attack(
 
 
 def fixed_precision_attack(
-    candidates: CandidateSet,
-    oracle: Curator,
-    phi: int,
-    limits: Limits = DEFAULT_LIMITS,
+    candidates: CandidateSet, oracle: Curator, phi: int
 ) -> AttackReport:
     """Membership recovery from rounded (LL, AUC) answers, batch by batch."""
     before = oracle.queries_used
-    bits, plan = batched_inference(oracle.scoring_view(), len(candidates), phi, limits)
+    bits, plan = batched_inference(oracle.scoring_view(), len(candidates), phi)
     recovered = MembershipVector(bits)
     return AttackReport(
         mode=AttackMode.FIXED_PRECISION,
@@ -289,18 +278,14 @@ def perturb_prime(score: ExactScore, prime: int, delta: int) -> ExactScore:
 
 
 def run_demo(
-    n: int,
-    mode: AttackMode,
-    seed: int,
-    phi: int | None = None,
-    limits: Limits = DEFAULT_LIMITS,
+    n: int, mode: AttackMode, seed: int, phi: int | None = None
 ) -> AttackReport:
     """Self-contained attack demonstration with a seeded hidden vector."""
     hidden = MembershipVector.random(n, seed)
-    oracle = curator_oracle(hidden, limits)
+    oracle = curator_oracle(hidden)
     candidates = CandidateSet.numbered(n)
     if mode is AttackMode.FIXED_PRECISION:
-        return fixed_precision_attack(candidates, oracle, 2 if phi is None else phi, limits)
+        return fixed_precision_attack(candidates, oracle, 2 if phi is None else phi)
     if phi is not None:
         raise ValidationError("significant digits only apply to fixed-precision mode")
-    return one_query_attack(candidates, oracle, mode, limits)
+    return one_query_attack(candidates, oracle, mode)

@@ -34,8 +34,7 @@ from .core import (
 )
 from .errors import LookupBuildError, DecodeError, ValidationError
 from .exact import (
-    DEFAULT_LIMITS,
-    Limits,
+    BINARY_DECIMAL_MAX_N,
     decode_binary_from_decimal,
     required_precision_binary,
 )
@@ -200,7 +199,11 @@ class TupleLookup:
         return Labeling(bits)
 
 
-def _guard_batch_size(b: int, phi: int, limits: Limits) -> None:
+# enumeration guard: verifying a b-point batch scores all 2^b labelings
+LOOKUP_MAX_BATCH = 16
+
+
+def _guard_batch_size(b: int, phi: int) -> None:
     # rejecting up front keeps a doomed 2^b enumeration from ever starting
     if b < 1:
         raise ValidationError("batch must hold at least one point")
@@ -210,10 +213,9 @@ def _guard_batch_size(b: int, phi: int, limits: Limits) -> None:
             f"batch of {b} exceeds the {cap}-point pigeonhole cap "
             f"at {phi} significant digits"
         )
-    if b > limits.lookup_max_batch:
+    if b > LOOKUP_MAX_BATCH:
         raise ValidationError(
-            f"batch of {b} exceeds the enumeration guard of "
-            f"{limits.lookup_max_batch}"
+            f"batch of {b} exceeds the enumeration guard of {LOOKUP_MAX_BATCH}"
         )
 
 
@@ -244,16 +246,14 @@ def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
     return table
 
 
-def tuple_lookup_for(
-    entries: Sequence[Fraction], phi: int, limits: Limits = DEFAULT_LIMITS
-) -> TupleLookup:
+def tuple_lookup_for(entries: Sequence[Fraction], phi: int) -> TupleLookup:
     """Verify one specific prediction vector and build its inverse table.
 
     Raises LookupBuildError naming both labelings when two of them round
     to the same (LL, AUC) tuple at phi digits.
     """
     vec = tuple(Fraction(e) for e in entries)
-    _guard_batch_size(len(vec), phi, limits)
+    _guard_batch_size(len(vec), phi)
     return TupleLookup(entries=vec, phi=phi, table=_tuple_table(vec, phi))
 
 
@@ -277,9 +277,7 @@ def _candidate_vectors(b: int, phi: int) -> Iterator[tuple[Fraction, ...]]:
         yield tuple(Fraction(a, d) for a in nums)
 
 
-def build_tuple_lookup(
-    b: int, phi: int, budget: int = 32, limits: Limits = DEFAULT_LIMITS
-) -> TupleLookup:
+def build_tuple_lookup(b: int, phi: int, budget: int = 32) -> TupleLookup:
     """Find a b-point vector whose rounded tuples separate all labelings.
 
     Candidates come from _candidate_vectors and each one is verified by
@@ -289,7 +287,7 @@ def build_tuple_lookup(
     budget counts candidate vectors, so the worst case does budget * 2^b
     score evaluations.
     """
-    _guard_batch_size(b, phi, limits)
+    _guard_batch_size(b, phi)
     tried = 0
     for entries in _candidate_vectors(b, phi):
         if tried >= budget:
@@ -308,11 +306,11 @@ def build_tuple_lookup(
 _LOOKUP_CACHE: dict[tuple[int, int], TupleLookup] = {}
 
 
-def _cached_lookup(b: int, phi: int, limits: Limits) -> TupleLookup:
+def _cached_lookup(b: int, phi: int) -> TupleLookup:
     key = (phi, b)
     found = _LOOKUP_CACHE.get(key)
     if found is None:
-        found = build_tuple_lookup(b, phi, limits=limits)
+        found = build_tuple_lookup(b, phi)
         _LOOKUP_CACHE[key] = found
     return found
 
@@ -343,19 +341,19 @@ class AttackPlan:
         return len(self.batches)
 
 
-def _largest_binary_batch(phi: int, limits: Limits) -> int:
+def _largest_binary_batch(phi: int) -> int:
     best = 0
     n = 1
-    while n <= limits.binary_decimal_max_n:
+    while n <= BINARY_DECIMAL_MAX_N:
         # required precision grows with n, so the first miss ends the scan
-        if required_precision_binary(n, limits) > phi:
+        if required_precision_binary(n) > phi:
             break
         best = n
         n += 1
     return best
 
 
-def plan_batches(n: int, phi: int, limits: Limits = DEFAULT_LIMITS) -> AttackPlan:
+def plan_batches(n: int, phi: int) -> AttackPlan:
     """Choose batch size and method for a phi-digit oracle over n points.
 
     Picks the larger of the curated tuple-table batch and the biggest
@@ -368,7 +366,7 @@ def plan_batches(n: int, phi: int, limits: Limits = DEFAULT_LIMITS) -> AttackPla
         raise ValidationError("need at least one label")
     curated = curated_batch_vector(phi)
     b_table = len(curated) if curated is not None else 0
-    b_binary = _largest_binary_batch(phi, limits)
+    b_binary = _largest_binary_batch(phi)
     if b_table == 0 and b_binary == 0:
         raise ValidationError(
             f"no batch construction works at {phi} significant digits"
@@ -398,10 +396,7 @@ def plan_batches(n: int, phi: int, limits: Limits = DEFAULT_LIMITS) -> AttackPla
 
 
 def batched_inference(
-    oracle: ScoringView,
-    n: int,
-    phi: int,
-    limits: Limits = DEFAULT_LIMITS,
+    oracle: ScoringView, n: int, phi: int
 ) -> tuple[Labeling, AttackPlan]:
     """Recover all n hidden labels from a phi-digit scoring oracle.
 
@@ -410,17 +405,17 @@ def batched_inference(
     or the binary construction's decimal decoder.  Returns the recovered
     labeling and the executed plan (one query per batch, exactly).
     """
-    plan = plan_batches(n, phi, limits)
+    plan = plan_batches(n, phi)
     recovered: list[int | None] = [None] * n
     for batch in plan.batches:
         ask = batch.fill + batch.indices
         if batch.method == "tuple-table":
-            lookup = _cached_lookup(len(ask), phi, limits)
+            lookup = _cached_lookup(len(ask), phi)
             ll, auc_score = oracle.decimal_scores(lookup.entries, phi, indices=ask)
             labeling = lookup.labeling_for(ll, auc_score)
         else:
             ll, _ = oracle.decimal_scores_for_binary(len(ask), phi, indices=ask)
-            labeling = decode_binary_from_decimal(ll, len(ask), limits)
+            labeling = decode_binary_from_decimal(ll, len(ask))
         for pos, bit in zip(ask, labeling.bits):
             if recovered[pos] is not None and recovered[pos] != bit:
                 raise DecodeError(

@@ -1,0 +1,71 @@
+"""The public API: changing `lossprobe.__all__` takes an edit here."""
+
+import lossprobe
+
+PUBLIC = [
+    "AttackMode",
+    "AttackPlan",
+    "AttackReport",
+    "BatchSpec",
+    "CandidateSet",
+    "ClassLabeling",
+    "CuratorOracle",
+    "DecimalScore",
+    "DecodeError",
+    "ExactScore",
+    "Labeling",
+    "LookupBuildError",
+    "LossProbeError",
+    "MembershipVector",
+    "OracleProtocolError",
+    "PrecisionError",
+    "PredictionMatrix",
+    "PredictionVector",
+    "ScoreKind",
+    "ScoringView",
+    "TupleLookup",
+    "ValidationError",
+    "auc",
+    "auc_exact",
+    "batched_inference",
+    "binary_decimal_response",
+    "build_binary_vector",
+    "build_multiclass_matrix",
+    "build_tuple_lookup",
+    "build_twin_prime_vector",
+    "curated_batch_vector",
+    "curator_oracle",
+    "decode_binary",
+    "decode_binary_from_decimal",
+    "decode_multiclass",
+    "decode_twin_prime",
+    "decode_twin_prime_value",
+    "exact_score",
+    "exact_score_multiclass",
+    "fixed_precision_attack",
+    "format_rational",
+    "logloss_decimal",
+    "max_unique_batch",
+    "min_digits_for_separation",
+    "one_query_attack",
+    "pad_with_half",
+    "parse_decimal_score",
+    "parse_rational",
+    "perturb_prime",
+    "plan_batches",
+    "prediction_vector",
+    "query_bound",
+    "required_precision_binary",
+    "round_fraction_sig",
+    "run_demo",
+    "tuple_lookup_for",
+]
+
+
+def test_public_names_are_pinned():
+    assert lossprobe.__all__ == PUBLIC
+    assert PUBLIC == sorted(set(PUBLIC))
+    for name in PUBLIC:
+        getattr(lossprobe, name)  # raises if the name does not resolve
+    # the size guards are module constants, not public configuration
+    assert not {"Limits", "DEFAULT_LIMITS"} & set(dir(lossprobe))

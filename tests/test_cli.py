@@ -209,6 +209,22 @@ def test_decode_binary(capsys):
     assert out == "101\n"
 
 
+def test_decode_inline_rational_longer_than_a_file_name(capsys):
+    labels = "1011001110001"
+    code, out, _ = run_cli(
+        capsys, "score", "--vector", "-", "--labels", labels,
+        stdin_text='{"kind":"binary","n":13}',
+    )
+    assert code == 0
+    escore = json.loads(out)["escore"]
+    assert len(escore) > 255  # past NAME_MAX, so a file check raises
+    code, out, _ = run_cli(
+        capsys, "decode", "--kind", "binary", "--score", escore, "--n", "13"
+    )
+    assert code == 0
+    assert out == labels + "\n"
+
+
 def test_decode_binary_needs_n(capsys):
     code, _, stderr = run_cli(capsys, "decode", "--kind", "binary", "--score", "255/32")
     assert code == 1

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lossprobe.cli import BINARY_WIRE_MAX_N, _respond
 from lossprobe.core import (
     ClassLabeling,
     ExactScore,
     Labeling,
     ScoreKind,
+    coprime_fraction,
     exact_score,
     exact_score_multiclass,
     logloss_decimal,
@@ -17,8 +19,10 @@ from lossprobe.core import (
 )
 from lossprobe.errors import DecodeError, PrecisionError, ValidationError
 from lossprobe.exact import (
-    DEFAULT_LIMITS,
-    Limits,
+    BINARY_DECIMAL_MAX_N,
+    BINARY_MAX_N,
+    MULTICLASS_MAX_CELLS,
+    TWIN_MAX_N,
     binary_decimal_response,
     build_binary_vector,
     build_multiclass_matrix,
@@ -30,6 +34,7 @@ from lossprobe.exact import (
     decode_twin_prime_value,
     required_precision_binary,
 )
+from lossprobe.precision import LOOKUP_MAX_BATCH, build_tuple_lookup
 
 from conftest import binary_entries, mp_logloss_wire, naive_exact_score
 
@@ -88,12 +93,6 @@ def test_twin_roundtrip_large():
     vec = build_twin_prime_vector(2000)
     score = exact_score(vec, Labeling(bits))
     assert decode_twin_prime(score).bits == bits
-
-
-def test_twin_limit_enforced():
-    tight = Limits(twin_max_n=10)
-    with pytest.raises(ValidationError):
-        build_twin_prime_vector(11, tight)
 
 
 @pytest.mark.parametrize(
@@ -155,7 +154,7 @@ def test_binary_roundtrip(bits):
 
 
 def test_binary_max_n_roundtrip():
-    n = DEFAULT_LIMITS.binary_max_n
+    n = BINARY_MAX_N
     bits = tuple((i * i + 1) % 2 for i in range(n))
     score = exact_score(build_binary_vector(n), Labeling(bits))
     assert decode_binary(score, n).bits == bits
@@ -166,6 +165,9 @@ def test_binary_decode_rejects_wrong_numerator():
         decode_binary(ExactScore(value=F(2**16 - 2, 2**13), n=4), 4)
     with pytest.raises(DecodeError):
         decode_binary(ExactScore(value=F((2**16 - 1) * 3, 2**13), n=4), 4)
+    with pytest.raises(DecodeError):
+        # right bit length, one zero bit, at a size past 2^26 bits
+        decode_binary(ExactScore(coprime_fraction((1 << (1 << 27)) - 3, 1 << 5), 27))
 
 
 def test_binary_decode_rejects_odd_denominator():
@@ -190,13 +192,21 @@ def test_binary_denominator_tampering_is_silent_by_design():
 
 def test_binary_limit_enforced():
     with pytest.raises(ValidationError):
-        build_binary_vector(DEFAULT_LIMITS.binary_max_n + 1)
+        build_binary_vector(BINARY_MAX_N + 1)
 
 
 # binary construction through the rounded-decimal channel
 
 
-@pytest.mark.parametrize("n,expected", [(1, 2), (3, 3), (5, 4), (8, 5), (64, 21)])
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (1, 2), (3, 3), (5, 4), (8, 5), (64, 21),
+        # either side of the switch to the log-space estimate at n = 40
+        (39, 14), (40, 14), (41, 14), (42, 15),
+        (100, 32), (BINARY_DECIMAL_MAX_N, 1235),
+    ],
+)
 def test_required_precision_values(n, expected):
     assert required_precision_binary(n) == expected
 
@@ -248,12 +258,6 @@ def test_binary_decimal_out_of_range_exponent_detected():
     ll = parse_decimal_score("1e-2", 1, ScoreKind.LOGLOSS)
     with pytest.raises(DecodeError):
         decode_binary_from_decimal(ll, 4)
-
-
-def test_binary_decimal_limit_enforced():
-    tight = Limits(binary_decimal_max_n=10)
-    with pytest.raises(ValidationError):
-        binary_decimal_response(Labeling(tuple([0] * 11)), 5, tight)
 
 
 # multiclass construction
@@ -313,4 +317,73 @@ def test_multiclass_all_denominators_are_codewords():
 
 def test_multiclass_cell_limit():
     with pytest.raises(ValidationError):
-        build_multiclass_matrix(DEFAULT_LIMITS.multiclass_max_cells, 2)
+        build_multiclass_matrix(MULTICLASS_MAX_CELLS, 2)
+
+
+# size guards: each entry point refuses one step past its cap, before any work
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(
+            lambda: build_twin_prime_vector(TWIN_MAX_N + 1),
+            "twin-prime construction capped at n = 100000",
+            id="twin-vector",
+        ),
+        pytest.param(
+            lambda: build_binary_vector(BINARY_MAX_N + 1),
+            "binary construction capped at n = 32",
+            id="binary-vector",
+        ),
+        pytest.param(
+            lambda: required_precision_binary(BINARY_DECIMAL_MAX_N + 1),
+            "binary decimal route capped at n = 4096",
+            id="required-precision",
+        ),
+        pytest.param(
+            lambda: decode_binary_from_decimal(
+                parse_decimal_score("1.0e0", 2, ScoreKind.LOGLOSS), BINARY_DECIMAL_MAX_N + 1
+            ),
+            "binary decimal route capped at n = 4096",
+            id="binary-decimal-decode",
+        ),
+        pytest.param(
+            lambda: binary_decimal_response(Labeling((0,) * (BINARY_DECIMAL_MAX_N + 1)), 5),
+            "binary decimal route capped at n = 4096",
+            id="binary-decimal-response",
+        ),
+        pytest.param(
+            lambda: build_multiclass_matrix(1, MULTICLASS_MAX_CELLS + 1),
+            "multi-class construction capped at n \\* k = 10000",
+            id="multiclass-matrix",
+        ),
+        pytest.param(
+            lambda: decode_multiclass(
+                ExactScore(value=F(1), n=1), 1, MULTICLASS_MAX_CELLS + 1
+            ),
+            "multi-class construction capped at n \\* k = 10000",
+            id="multiclass-decode",
+        ),
+        pytest.param(
+            # at 3 digits the pigeonhole cap is 19, so only the guard can refuse
+            lambda: build_tuple_lookup(LOOKUP_MAX_BATCH + 1, 3),
+            "exceeds the enumeration guard of 16",
+            id="tuple-lookup",
+        ),
+        pytest.param(
+            # the request path behind `score` and `oracle-serve`
+            lambda: _respond(
+                {"kind": "binary", "n": BINARY_WIRE_MAX_N + 1},
+                Labeling((0,) * (BINARY_WIRE_MAX_N + 1)),
+                "exact",
+                None,
+            ),
+            "exact binary responses are capped at n = 16 on the wire; use decimal mode",
+            id="score-binary-wire",
+        ),
+    ],
+)
+def test_size_guard_rejects_one_past_its_cap(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

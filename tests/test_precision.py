@@ -11,7 +11,6 @@ from lossprobe.errors import (
     LookupBuildError,
     ValidationError,
 )
-from lossprobe.exact import DEFAULT_LIMITS, Limits
 from lossprobe.mia import MembershipVector, curator_oracle
 from lossprobe.precision import (
     batched_inference,
@@ -174,12 +173,6 @@ def test_pigeonhole_guard_rejects_before_search():
         build_tuple_lookup(7, 1)
     with pytest.raises(ValidationError):
         tuple_lookup_for([F(i + 1, 9) for i in range(7)], 1)
-
-
-def test_batch_size_cap_enforced():
-    tight = Limits(lookup_max_batch=3)
-    with pytest.raises(ValidationError):
-        build_tuple_lookup(4, 3, limits=tight)
 
 
 def test_build_rejects_nonpositive_batch():
