@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import ContextManager, Iterable, Iterator
 
 from .errors import ValidationError
+from .primes import tree_product
 
 
 def coprime_fraction(numerator: int, denominator: int) -> Fraction:
@@ -134,7 +135,9 @@ class PredictionVector:
         for x in self.entries:
             if not isinstance(x, Fraction):
                 raise ValidationError("entries must be Fractions")
-            if not 0 < x < 1:
+            # integer parts, not Fraction comparisons: those multiply the
+            # parts by 0 and 1, copies of huge integers for the binary entries
+            if not 0 < x.numerator < x.denominator:
                 raise ValidationError(
                     f"prediction {_wide_str(x)} outside the open interval (0, 1)"
                 )
@@ -159,13 +162,13 @@ class PredictionVector:
     @cached_property
     def _denominator_product(self) -> tuple[int, int]:
         shift = 0
-        odd = 1
+        odds = []
         for x in self.entries:
             s, o = _split_pow2(x.denominator)
             shift += s
             if o > 1:
-                odd *= o
-        return shift, odd
+                odds.append(o)
+        return shift, tree_product(odds)
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ class PredictionMatrix:
             if len(row) != k:
                 raise ValidationError("ragged prediction matrix")
             for x in row:
-                if not isinstance(x, Fraction) or not 0 < x < 1:
+                if not isinstance(x, Fraction) or not 0 < x.numerator < x.denominator:
                     raise ValidationError("matrix entries must be Fractions in (0, 1)")
             if sum(row) != 1:
                 raise ValidationError("each row must sum to exactly 1")
@@ -340,24 +343,26 @@ def exact_score(x: PredictionVector, labels: Labeling) -> ExactScore:
     Equal to exp(n * LL(x, labels)); exact for any valid inputs.  The
     numerator/denominator products are accumulated with their powers of
     two split out, so constructions built from powers of two reduce via
-    shifts instead of big-integer gcds.
+    shifts instead of big-integer gcds, and the odd parts are multiplied
+    through a product tree rather than one long chain.
     """
     if len(x) != len(labels):
         raise ValidationError(
             f"vector has {len(x)} entries but labeling has {len(labels)}"
         )
     sel_shift = 0
-    sel_odd = 1
+    sel_odds = []
     for part, bit in zip(x._factor_parts, labels.bits):
         ns, no, cs, co = part
         if bit:
             sel_shift += ns
             if no > 1:
-                sel_odd *= no
+                sel_odds.append(no)
         else:
             sel_shift += cs
             if co > 1:
-                sel_odd *= co
+                sel_odds.append(co)
+    sel_odd = tree_product(sel_odds)
     den_shift, den_odd = x._denominator_product
     common = min(sel_shift, den_shift)
     sel_shift -= common

@@ -18,7 +18,9 @@ a tampered score raises DecodeError rather than decoding to wrong labels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import accumulate
 
 from .core import (
     ClassLabeling,
@@ -29,12 +31,13 @@ from .core import (
     PredictionVector,
     ScoreKind,
     _round_decimal_sig,
+    _split_pow2,
     _wide_str,
     coprime_fraction,
     round_fraction_sig,
 )
 from .errors import DecodeError, PrecisionError, ValidationError
-from .primes import factor_over, first_primes, twin_primes
+from .primes import factor_over, first_primes, remainders, tree_product, twin_primes
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -82,57 +85,97 @@ def build_twin_prime_vector(n: int) -> PredictionVector:
     return PredictionVector(tuple(Fraction(p, p + 2) for p in table.primes))
 
 
+def _min_upper_bits(k: int) -> float:
+    """A lower bound on log2 of the product of the first k upper twins.
+
+    Every lower twin from 5 on is 5 mod 6, so the i-th is at least 6i - 1
+    and its upper at least 6i + 1; prod (6i + 1) = 6^k Gamma(k + 7/6) / Gamma(7/6).
+    """
+    return k * math.log2(6) + (math.lgamma(k + 7 / 6) - math.lgamma(7 / 6)) / math.log(2)
+
+
+def _numerator_fault(numerator: int, uppers: tuple[int, ...]) -> DecodeError:
+    """Why numerator is no prefix product of uppers: the first upper missing or repeated.
+
+    Reports what peeling the uppers off one at a time would meet, from one
+    remainder tree over their squares.  uppers is a table sized from the
+    numerator's bit length, so if all of it divides once the rest is
+    smaller than the next upper, unless the table stopped at the guard.
+    """
+    squares = remainders(numerator, [u * u for u in uppers])
+    i = next((i for i, (u, r) in enumerate(zip(uppers, squares)) if r % u or not r), None)
+    if i is not None and not squares[i]:
+        return DecodeError(f"numerator contains {uppers[i]} twice")
+    if i is None and len(uppers) == TWIN_MAX_N:
+        return DecodeError("numerator demands more twin primes than the guard allows")
+    rest = numerator // tree_product(uppers[:i])
+    return DecodeError(f"numerator has an unexpected factor (stuck at {_wide_str(rest)})")
+
+
+def _twin_labeling(denominator: int, lowers: tuple[int, ...]) -> Labeling:
+    """Read the labels off a denominator that must be 2^m * prod(lowers labeled 1).
+
+    A remainder tree over the lower twins gives each bit; the odd part must
+    then be exactly the product of the dividing lowers and m the number of
+    zero bits.
+    """
+    m, odd = _split_pow2(denominator)
+    bits = tuple(int(r == 0) for r in remainders(odd, lowers))
+    divisors = [p for p, bit in zip(lowers, bits) if bit]
+    rest = odd // tree_product(divisors)
+    if rest != 1:
+        # strip every power of the dividing lowers: anything left is foreign,
+        # otherwise the smallest lower that divided the rest is repeated
+        repeated = [p for p, r in zip(divisors, remainders(rest, divisors)) if not r]
+        twice = repeated[:1]
+        while repeated:
+            rest //= tree_product(repeated)
+            repeated = [p for p, r in zip(repeated, remainders(rest, repeated)) if not r]
+        if rest != 1:
+            raise DecodeError(f"denominator has a foreign factor {_wide_str(rest)}")
+        raise DecodeError(f"denominator contains {twice[0]} twice")
+    zeros = len(bits) - len(divisors)
+    if m != zeros:
+        raise DecodeError(f"power of two {m} disagrees with the {zeros} zero-labeled points")
+    return Labeling(bits)
+
+
 def decode_twin_prime_value(value: Fraction) -> Labeling:
-    """Recover the labeling from a bare twin-prime score value; n is inferred."""
-    numerator, denominator = value.numerator, value.denominator
-    # Peel upper twins off the numerator in order; the count is n.
-    table = twin_primes(8)
-    rest = numerator
-    n = 0
-    while rest > 1:
-        if n >= TWIN_MAX_N:
-            raise DecodeError("numerator demands more twin primes than the guard allows")
-        if n >= len(table):
-            table = twin_primes(len(table) * 2)
-        upper = table.primes[n] + 2
-        if rest % upper:
-            raise DecodeError(
-                f"numerator has an unexpected factor (stuck at {_wide_str(rest)})"
-            )
-        rest //= upper
-        if rest % upper == 0:
-            raise DecodeError(f"numerator contains {upper} twice")
-        n += 1
-    if n == 0:
+    """Recover the labeling from a bare twin-prime score value; n is inferred.
+
+    The table is sized once, from the numerator's bit length; n is where the
+    prefix sums of log2(p_i + 2) meet log2 of the numerator, and the
+    numerator must then equal the product of the first n upper twins.
+    """
+    numerator = value.numerator
+    if numerator <= 1:
         raise DecodeError("numerator of 1 encodes no datapoints")
-    lowers = table.primes[:n]
-    parts = factor_over(denominator, (2, *lowers))
-    if parts.leftover != 1:
-        raise DecodeError(
-            f"denominator has a foreign factor {_wide_str(parts.leftover)}"
-        )
-    bits = [0] * n
-    for i, p in enumerate(lowers):
-        e = parts.exponents.get(p, 0)
-        if e > 1:
-            raise DecodeError(f"denominator contains {p} twice")
-        bits[i] = e
-    m = parts.exponents.get(2, 0)
-    if m != n - sum(bits):
-        raise DecodeError(
-            f"power of two {m} disagrees with the {n - sum(bits)} zero-labeled points"
-        )
-    return Labeling(tuple(bits))
+    size = bisect_left(
+        range(1, TWIN_MAX_N + 1), numerator.bit_length(), key=_min_upper_bits
+    )
+    lowers = twin_primes(max(size, 1)).primes
+    uppers = tuple(p + 2 for p in lowers)
+    # consecutive sums differ by log2 7 or more, so half a bit absorbs float error
+    n = bisect_right(list(accumulate(map(math.log2, uppers))), math.log2(numerator) + 0.5)
+    if numerator != tree_product(uppers[:n]):
+        raise _numerator_fault(numerator, uppers)
+    return _twin_labeling(value.denominator, lowers[:n])
 
 
 def decode_twin_prime(score: ExactScore) -> Labeling:
-    """Recover the labeling from a twin-prime exact score; n is inferred."""
+    """Recover the labeling from a twin-prime exact score over twin_primes(score.n)."""
+    n = score.n
+    numerator = score.value.numerator
+    # too few bits for n uppers rules n out before any table is built
+    if n <= TWIN_MAX_N and _min_upper_bits(n) < numerator.bit_length():
+        lowers = twin_primes(n).primes
+        if numerator == tree_product([p + 2 for p in lowers]):
+            return _twin_labeling(score.value.denominator, lowers)
+    # not n uppers: decoding with n inferred names the fault or the n encoded
     labeling = decode_twin_prime_value(score.value)
-    if score.n != len(labeling):
-        raise DecodeError(
-            f"score claims n = {score.n} but the factorization encodes {len(labeling)}"
-        )
-    return labeling
+    raise DecodeError(
+        f"score claims n = {score.n} but the factorization encodes {len(labeling)}"
+    )
 
 
 def build_binary_vector(n: int) -> BinaryRepVector:

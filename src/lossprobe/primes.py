@@ -1,4 +1,4 @@
-"""Prime machinery: twin-prime tables, primality checks, factoring helpers.
+"""Prime machinery: twin-prime tables, primality checks, product and remainder trees.
 
 The label-recovery constructions lean on two prime sequences: the lower
 members of twin prime pairs starting at (5, 7), and the plain primes
@@ -9,9 +9,10 @@ Miller-Rabin test, so a sieve bug cannot silently corrupt an encoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -110,6 +111,52 @@ def twin_primes(n: int) -> TwinPrimeTable:
         limit *= 2
 
 
+def _product_tree(values: Sequence[int]) -> list[list[int]]:
+    """Levels of pairwise products, leaves first and the root last.
+
+    Each level halves the one below it (an odd one out is carried up as
+    is), so the root is the product of all values at the cost of a few
+    balanced big-integer multiplications instead of one long chain.
+    """
+    levels = [list(values)]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        level = [below[i] * below[i + 1] for i in range(0, len(below) - 1, 2)]
+        if len(below) % 2:
+            level.append(below[-1])
+        levels.append(level)
+    return levels
+
+
+# a run of this many word-sized factors multiplies faster in one C-level
+# chain than through tree bookkeeping; exact_score calls this per labeling
+_LEAF = 32
+
+
+def tree_product(values: Sequence[int]) -> int:
+    """Product of the values through a product tree over runs of _LEAF; 1 when empty."""
+    if len(values) <= _LEAF:
+        return math.prod(values)
+    leaves = [math.prod(values[i : i + _LEAF]) for i in range(0, len(values), _LEAF)]
+    return _product_tree(leaves)[-1][0]
+
+
+def remainders(value: int, moduli: Sequence[int]) -> list[int]:
+    """value mod m for every m, through a remainder tree over their product tree.
+
+    value is reduced modulo the root once, then each node's remainder is
+    reduced modulo its children, so no full-width division is repeated per
+    modulus (Bernstein, "Fast multiplication and its applications").
+    """
+    if not moduli:
+        return []
+    levels = _product_tree(moduli)
+    rems = [value % levels[-1][0]]
+    for level in reversed(levels[:-1]):
+        rems = [rems[i // 2] % m for i, m in enumerate(level)]
+    return rems
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Exponents of the allowed primes plus whatever refused to divide."""
@@ -121,16 +168,21 @@ class Factorization:
 def factor_over(value: int, primes: Iterable[int]) -> Factorization:
     """Factor value over the given primes only; leftover keeps the rest.
 
-    Exponents are recorded only when positive, so the reconstruction
-    identity ``leftover * prod(p**e) == value`` holds exactly.
+    A remainder tree finds the primes that divide value; exponents are
+    divided out for those alone, smallest prime first.  Exponents are
+    recorded only when positive, so the reconstruction identity
+    ``leftover * prod(p**e) == value`` holds exactly.
     """
     if value < 1:
         raise ValidationError("can only factor a positive integer")
+    candidates = sorted(set(primes))
+    if candidates and candidates[0] < 2:
+        raise ValidationError("prime factors must be >= 2")
     exps: dict[int, int] = {}
     rest = value
-    for p in sorted(set(primes)):
-        if p < 2:
-            raise ValidationError("prime factors must be >= 2")
+    for p, r in zip(candidates, remainders(value, candidates)):
+        if r:
+            continue
         e = 0
         while rest % p == 0:
             rest //= p

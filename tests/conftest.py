@@ -29,6 +29,16 @@ def naive_exact_score_multiclass(rows, classes) -> Fraction:
     return 1 / prod
 
 
+def naive_factor_over(value: int, primes) -> tuple[dict[int, int], int]:
+    """Exponents and leftover by trial division, one prime at a time."""
+    exponents: dict[int, int] = {}
+    for p in sorted(set(primes)):
+        while value % p == 0:
+            value //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    return exponents, value
+
+
 def naive_auc(entries, labels) -> Fraction | None:
     """Pairwise comparison count with half credit for ties."""
     pos = [e for e, b in zip(entries, labels) if b]

@@ -35,6 +35,7 @@ from lossprobe.exact import (
     required_precision_binary,
 )
 from lossprobe.precision import LOOKUP_MAX_BATCH, build_tuple_lookup
+from lossprobe.primes import twin_primes
 
 from conftest import binary_entries, mp_logloss_wire, naive_exact_score
 
@@ -116,6 +117,67 @@ def test_twin_roundtrip_large():
 def test_twin_decode_rejects_tampered_values(value):
     with pytest.raises(DecodeError):
         decode_twin_prime_value(value)
+
+
+# an honest n = 40 score, tampered in ways only a whole-table check meets
+_N = 40
+_BITS = tuple(i * 5 % 3 % 2 for i in range(_N))
+_LOWERS = twin_primes(_N + 4).primes
+_HONEST = exact_score(build_twin_prime_vector(_N), Labeling(_BITS)).value
+_ONE = _LOWERS[_BITS.index(1)]
+
+
+@pytest.mark.parametrize(
+    "value,claimed,message",
+    [
+        pytest.param(
+            _HONEST * F(_LOWERS[_N] + 2, 2),
+            _N,
+            f"score claims n = {_N} but the factorization encodes {_N + 1}",
+            id="n-plus-one-uppers",
+        ),
+        pytest.param(
+            _HONEST / (_LOWERS[_N // 2] + 2), _N, "numerator has an unexpected factor",
+            id="middle-upper-missing",
+        ),
+        pytest.param(_HONEST / _ONE, _N, f"denominator contains {_ONE} twice", id="lower-squared"),
+        pytest.param(
+            _HONEST / _LOWERS[_N], _N, f"denominator has a foreign factor {_LOWERS[_N]}",
+            id="lower-beyond-n",
+        ),
+        pytest.param(
+            _HONEST / 1_000_003, _N, "denominator has a foreign factor 1000003",
+            id="prime-beyond-table",
+        ),
+        pytest.param(_HONEST * 2, _N, "power of two .* disagrees", id="two-power-minus-one"),
+        pytest.param(_HONEST / 2, _N, "power of two .* disagrees", id="two-power-plus-one"),
+    ],
+)
+def test_twin_decode_rejects_tampering_the_whole_table_meets(value, claimed, message):
+    with pytest.raises(DecodeError, match=message):
+        decode_twin_prime(ExactScore(value=value, n=claimed))
+    if "score claims" not in message:  # with n inferred, n + 1 uppers are honest
+        with pytest.raises(DecodeError, match=message):
+            decode_twin_prime_value(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+def test_twin_roundtrip_both_decoders_against_naive_product(bits):
+    vec = build_twin_prime_vector(len(bits))
+    value = naive_exact_score(vec.entries, bits)
+    assert exact_score(vec, Labeling(tuple(bits))).value == value
+    assert decode_twin_prime(ExactScore(value=value, n=len(bits))).bits == tuple(bits)
+    assert decode_twin_prime_value(value).bits == tuple(bits)
+
+
+def test_twin_decode_reuses_the_attackers_table():
+    n = 777
+    vec = build_twin_prime_vector(n)
+    score = exact_score(vec, Labeling(tuple(i % 2 for i in range(n))))
+    misses = twin_primes.cache_info().misses
+    decode_twin_prime(score)
+    assert twin_primes.cache_info().misses == misses
 
 
 # binary construction

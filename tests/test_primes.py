@@ -1,5 +1,7 @@
 """Prime utilities: dual-route primality, twin pairs, partial factoring."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,9 +11,13 @@ from lossprobe.primes import (
     factor_over,
     first_primes,
     is_prime,
+    remainders,
     sieve_primes,
+    tree_product,
     twin_primes,
 )
+
+from conftest import naive_factor_over
 
 
 def test_sieve_and_miller_rabin_agree_to_ten_thousand():
@@ -49,24 +55,34 @@ def test_twin_table_members_are_all_twin_primes():
 @given(
     st.lists(st.integers(0, 4), min_size=3, max_size=3),
     st.integers(1, 50).filter(lambda v: all(v % p for p in (3, 5, 7))),
+    st.permutations((3, 5, 7)),
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=6),
 )
-def test_factor_over_reconstructs(exponents, leftover):
-    primes = (3, 5, 7)
+def test_factor_over_reconstructs(exponents, leftover, order, extra):
     value = leftover
-    for p, e in zip(primes, exponents):
+    for p, e in zip((3, 5, 7), exponents):
         value *= p**e
+    # unsorted, with repeats, and with primes that may divide the leftover
+    primes = [*order, *extra]
     result = factor_over(value, primes)
+    assert (dict(result.exponents), result.leftover) == naive_factor_over(value, primes)
     product = result.leftover
     for p, e in result.exponents.items():
         product *= p**e
     assert product == value
     # only positive exponents are recorded
     assert all(e > 0 for e in result.exponents.values())
-    for p, e in zip(primes, exponents):
+    for p, e in zip((3, 5, 7), exponents):
         assert result.exponents.get(p, 0) == e
     assert result.leftover % 1 == 0
     for p in primes:
         assert result.leftover % p != 0
+
+
+@given(st.integers(0, 10**60), st.lists(st.integers(1, 10**9), max_size=100))
+def test_trees_match_plain_arithmetic(value, moduli):
+    assert tree_product(moduli) == math.prod(moduli)
+    assert remainders(value, moduli) == [value % m for m in moduli]
 
 
 def test_factor_over_rejects_nonpositive():
