@@ -54,6 +54,11 @@ def _split_pow2(value: int) -> tuple[int, int]:
     """value as (t, odd) with value = odd << t."""
     if value <= 0:
         raise ValidationError("positive integer required")
+    if value & 1:
+        return 0, value
+    # a power of two is read off its length: value & -value would copy it
+    if value.bit_count() == 1:
+        return value.bit_length() - 1, 1
     t = (value & -value).bit_length() - 1
     return t, value >> t
 
@@ -146,9 +151,11 @@ class PredictionVector:
         return len(self.entries)
 
     # Pre-split factor parts let exact_score run without re-deriving the
-    # complements or re-reducing anything per call; for the power-of-two
-    # heavy constructions this is the difference between shifts and
-    # multi-hundred-megabyte multiplications.
+    # complements or re-reducing anything per call.  Two rules read off the
+    # entries keep power-of-two heavy constructions (the binary one) in
+    # shift territory: a power of two splits by its length alone, and an
+    # odd denominator part 2^k + 1 is folded into the product by a shift
+    # and an add, so 2^(2^n) - 1 is never multiplied out.
     @cached_property
     def _factor_parts(self) -> tuple[tuple[int, int, int, int], ...]:
         parts = []
@@ -163,12 +170,27 @@ class PredictionVector:
     def _denominator_product(self) -> tuple[int, int]:
         shift = 0
         odds = []
+        folds = []
         for x in self.entries:
             s, o = _split_pow2(x.denominator)
             shift += s
-            if o > 1:
+            if o.bit_count() == 2:
+                folds.append(o)
+            elif o > 1:
                 odds.append(o)
-        return shift, tree_product(odds)
+        # 2^k + 1 at least as wide as the fold so far goes in by a shift and
+        # an add; each such fold doubles the width, so together they take time
+        # linear in the result.  Narrower ones (a run of thirds) join the tree.
+        folded = 1
+        for o in sorted(folds):
+            k = o.bit_length() - 1
+            if k < folded.bit_length():
+                odds.append(o)
+            else:
+                folded += folded << k
+        rest = tree_product(odds)
+        # even times 1, a product copies the 512 MB fold of binary n = 32
+        return shift, folded * rest if rest > 1 else folded
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from itertools import accumulate
 
 from .core import (
@@ -53,28 +52,6 @@ BINARY_MAX_N = 32
 BINARY_DECIMAL_MAX_N = 4096
 
 
-class BinaryRepVector(PredictionVector):
-    """Prediction vector of the binary-representation construction.
-
-    Overrides the cached score-factor parts with closed forms: the
-    denominator product telescopes to 2^(2^n) - 1 and every numerator is
-    a plain power of two, so scoring stays in shift territory instead of
-    multiplying quarter-gigabyte integers at n = 32.
-    """
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def _factor_parts(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple((1 << i, 1, 0, 1) for i in range(len(self.entries)))
-
-    @cached_property
-    def _denominator_product(self) -> tuple[int, int]:
-        return 0, (1 << (1 << len(self.entries))) - 1
-
-
 def build_twin_prime_vector(n: int) -> PredictionVector:
     """Entries p_i/(p_i + 2) over the first n lower twins (5/7, 11/13, ...)."""
     if n < 1:
@@ -98,9 +75,9 @@ def _numerator_fault(numerator: int, uppers: tuple[int, ...]) -> DecodeError:
     """Why numerator is no prefix product of uppers: the first upper missing or repeated.
 
     Reports what peeling the uppers off one at a time would meet, from one
-    remainder tree over their squares.  uppers is a table sized from the
-    numerator's bit length, so if all of it divides once the rest is
-    smaller than the next upper, unless the table stopped at the guard.
+    remainder tree over their squares.  uppers is a table at least as long
+    as the numerator's bit length allows, so if all of it divides once the
+    rest is smaller than the next upper, unless the table stopped at the guard.
     """
     squares = remainders(numerator, [u * u for u in uppers])
     i = next((i for i, (u, r) in enumerate(zip(uppers, squares)) if r % u or not r), None)
@@ -143,9 +120,10 @@ def _twin_labeling(denominator: int, lowers: tuple[int, ...]) -> Labeling:
 def decode_twin_prime_value(value: Fraction) -> Labeling:
     """Recover the labeling from a bare twin-prime score value; n is inferred.
 
-    The table is sized once, from the numerator's bit length; n is where the
-    prefix sums of log2(p_i + 2) meet log2 of the numerator, and the
-    numerator must then equal the product of the first n upper twins.
+    The table is sized once, from the numerator's bit length rounded up to
+    a power of two; n is where the prefix sums of log2(p_i + 2) meet log2
+    of the numerator, and the numerator must then equal the product of the
+    first n upper twins.
     """
     numerator = value.numerator
     if numerator <= 1:
@@ -153,7 +131,8 @@ def decode_twin_prime_value(value: Fraction) -> Labeling:
     size = bisect_left(
         range(1, TWIN_MAX_N + 1), numerator.bit_length(), key=_min_upper_bits
     )
-    lowers = twin_primes(max(size, 1)).primes
+    # a power-of-two size lets values of nearby sizes share a cached table
+    lowers = twin_primes(min(1 << max(size - 1, 0).bit_length(), TWIN_MAX_N)).primes
     uppers = tuple(p + 2 for p in lowers)
     # consecutive sums differ by log2 7 or more, so half a bit absorbs float error
     n = bisect_right(list(accumulate(map(math.log2, uppers))), math.log2(numerator) + 0.5)
@@ -178,7 +157,7 @@ def decode_twin_prime(score: ExactScore) -> Labeling:
     )
 
 
-def build_binary_vector(n: int) -> BinaryRepVector:
+def build_binary_vector(n: int) -> PredictionVector:
     """Entries a_i/(1 + a_i) with a_i = 2^(2^(i-1)): 2/3, 4/5, 16/17, ..."""
     if n < 1:
         raise ValidationError("need at least one datapoint")
@@ -188,7 +167,7 @@ def build_binary_vector(n: int) -> BinaryRepVector:
     for i in range(1, n + 1):
         a = 1 << (1 << (i - 1))
         entries.append(coprime_fraction(a, a + 1))
-    return BinaryRepVector(tuple(entries))
+    return PredictionVector(tuple(entries))
 
 
 def decode_binary(score: ExactScore, n: int | None = None) -> Labeling:

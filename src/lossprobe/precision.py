@@ -12,9 +12,9 @@ Batches are scored in isolation: a query carries the indices of the batch
 and predictions for those points only, so the reported scores depend on
 nothing outside the batch.  The classic alternative, padding the query to
 full length with 1/2 so every out-of-batch point contributes exactly ln 2
-to the unnormalized loss, is provided as pad_with_half(); it keeps the log
-loss invertible but pollutes AUC with unknown out-of-batch labels, which
-is why the lookup attack does not use it.
+to the unnormalized loss, keeps the log loss invertible but pollutes AUC
+with unknown out-of-batch labels, which is why the lookup attack does not
+use it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "min_digits_for_separation",
     "max_unique_batch",
     "query_bound",
-    "pad_with_half",
     "TupleLookup",
     "build_tuple_lookup",
     "tuple_lookup_for",
@@ -81,7 +80,9 @@ def min_digits_for_separation(delta) -> int:
     p, q = gap.numerator, gap.denominator
     if p >= q:
         return 0
-    k = max(0, len(str(q)) - len(str(p)) - 1)
+    # a lower bound from bit lengths (0.301 < log10 2): str(q) would trip the
+    # interpreter's digit cap for separations like 1e-5000
+    k = max(0, (q.bit_length() - p.bit_length() - 1) * 301 // 1000)
     while p * 10**k < q:
         k += 1
     return k
@@ -114,28 +115,6 @@ def query_bound(n: int, phi: int) -> int:
     if phi < 1:
         raise ValidationError("need at least one significant digit")
     return -(-n // (6 * phi))
-
-
-def pad_with_half(
-    entries: Sequence[Fraction], indices: Sequence[int], n: int
-) -> PredictionVector:
-    """Expand batch predictions to length n with 1/2 everywhere else.
-
-    Every out-of-batch point then contributes exactly ln 2 to the
-    unnormalized log loss whatever its label, so the batch's exact score
-    is recoverable from the full-dataset score.  AUC enjoys no such
-    neutrality, which is why batched_inference queries subsets instead.
-    """
-    if len(entries) != len(indices):
-        raise ValidationError("one index per batch entry")
-    if sorted(set(indices)) != sorted(indices):
-        raise ValidationError("batch indices must be distinct")
-    full = [Fraction(1, 2)] * n
-    for pos, value in zip(indices, entries):
-        if not 0 <= pos < n:
-            raise ValidationError(f"index {pos} outside dataset of size {n}")
-        full[pos] = Fraction(value)
-    return PredictionVector(tuple(full))
 
 
 # Batch prediction vectors found by an offline annealing search over

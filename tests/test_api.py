@@ -48,7 +48,6 @@ PUBLIC = [
     "max_unique_batch",
     "min_digits_for_separation",
     "one_query_attack",
-    "pad_with_half",
     "parse_decimal_score",
     "parse_rational",
     "perturb_prime",

@@ -51,6 +51,28 @@ def test_exact_score_matches_naive_product(case):
     assert score.n == len(entries)
 
 
+# entries over (2^k + 1) * 2^j: their odd denominator parts take the shift-and-add fold
+_folded_denominators = st.builds(
+    lambda k, j: ((1 << k) + 1) << j, st.integers(1, 70), st.integers(0, 3)
+)
+_folded_entries = _folded_denominators.flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: F(num, den))
+)
+
+
+@given(
+    st.lists(st.one_of(proper_fractions, _folded_entries), min_size=1, max_size=10).flatmap(
+        lambda es: st.tuples(
+            st.just(es), st.lists(st.integers(0, 1), min_size=len(es), max_size=len(es))
+        )
+    )
+)
+def test_exact_score_with_folded_denominators_matches_naive_product(case):
+    entries, labels = case
+    score = exact_score(prediction_vector(entries), Labeling(tuple(labels)))
+    assert score.value == naive_exact_score(entries, labels)
+
+
 def test_exact_score_reduced():
     score = exact_score(
         prediction_vector([F(1, 4), F(1, 4)]), Labeling((1, 1))

@@ -1,5 +1,7 @@
 """Reversible constructions: build, score, decode, and tamper detection."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,6 +180,24 @@ def test_twin_decode_reuses_the_attackers_table():
     misses = twin_primes.cache_info().misses
     decode_twin_prime(score)
     assert twin_primes.cache_info().misses == misses
+
+
+def test_bare_twin_decodes_share_tables():
+    # honest values off one table, so the decodes are the only table demand
+    lowers = twin_primes(300).primes
+    rng = random.Random(5)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        bits = tuple(rng.randint(0, 1) for _ in range(n))
+        num = math.prod(p + 2 for p in lowers[:n])
+        den = 2 ** bits.count(0) * math.prod(p for p, b in zip(lowers, bits) if b)
+        cases.append((F(num, den), bits))
+    misses = twin_primes.cache_info().misses
+    for value, bits in cases:
+        assert decode_twin_prime_value(value).bits == bits
+    # at most one table per power of two up to 512, not one per numerator size
+    assert twin_primes.cache_info().misses - misses <= 10
 
 
 # binary construction

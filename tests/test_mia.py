@@ -6,7 +6,7 @@ import pytest
 
 from lossprobe.core import Labeling, ScoreKind, logloss_decimal, prediction_vector
 from lossprobe.errors import DecodeError, ValidationError
-from lossprobe.exact import build_twin_prime_vector, decode_twin_prime_value
+from lossprobe.exact import BINARY_MAX_N, build_twin_prime_vector, decode_twin_prime_value
 from lossprobe.mia import (
     AttackMode,
     CandidateSet,
@@ -143,6 +143,17 @@ def test_one_query_attack_rejects_fixed_mode():
     oracle = curator_oracle(MembershipVector.random(4, 0))
     with pytest.raises(ValidationError):
         one_query_attack(CandidateSet.numbered(4), oracle, AttackMode.FIXED_PRECISION)
+
+
+def test_binary_attack_through_the_curator_at_the_size_limit():
+    # the curator scores the attacker's entries as a plain vector: this is
+    # the path that must stay in shifts, 2^32-bit numerator and all
+    n = BINARY_MAX_N
+    hidden = MembershipVector.random(n, 32)
+    oracle = curator_oracle(hidden)
+    report = one_query_attack(CandidateSet.numbered(n), oracle, AttackMode.EXACT_BINARY)
+    assert report.queries_used == oracle.queries_used == 1
+    assert report.recovered == hidden
 
 
 def test_binary_mode_stops_at_the_size_limit():

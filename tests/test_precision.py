@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from lossprobe.core import Labeling, exact_score, logloss_decimal, auc, prediction_vector
+from lossprobe.core import Labeling, logloss_decimal, auc, prediction_vector
 from lossprobe.errors import (
     DecodeError,
     LookupBuildError,
@@ -18,7 +18,6 @@ from lossprobe.precision import (
     curated_batch_vector,
     max_unique_batch,
     min_digits_for_separation,
-    pad_with_half,
     plan_batches,
     query_bound,
     tuple_lookup_for,
@@ -28,7 +27,6 @@ from conftest import (
     fraction_sig_wire,
     mp_logloss_wire,
     naive_auc,
-    proper_fractions,
 )
 
 F = Fraction
@@ -49,6 +47,7 @@ F = Fraction
         (0.0011, 3),
         ("1/1000", 3),
         (F(1, 10**12), 12),
+        ("1e-5000", 5000),
     ],
 )
 def test_min_digits_examples(delta, expected):
@@ -102,39 +101,6 @@ def test_query_bound_rejects_nonpositive():
         query_bound(0, 2)
     with pytest.raises(ValidationError):
         query_bound(5, 0)
-
-
-# half padding and out-of-batch neutrality
-
-
-@settings(max_examples=50)
-@given(st.data())
-def test_padding_neutralizes_out_of_batch_labels(data):
-    n = data.draw(st.integers(2, 10))
-    b = data.draw(st.integers(1, n - 1))
-    indices = tuple(sorted(data.draw(
-        st.lists(st.integers(0, n - 1), min_size=b, max_size=b, unique=True)
-    )))
-    entries = data.draw(st.lists(proper_fractions, min_size=b, max_size=b))
-    batch_bits = data.draw(st.lists(st.integers(0, 1), min_size=b, max_size=b))
-    full_bits = [data.draw(st.integers(0, 1)) for _ in range(n)]
-    for pos, bit in zip(indices, batch_bits):
-        full_bits[pos] = bit
-    padded = pad_with_half(entries, indices, n)
-    batch_score = exact_score(prediction_vector(entries), Labeling(tuple(batch_bits)))
-    padded_score = exact_score(padded, Labeling(tuple(full_bits)))
-    # every out-of-batch point contributes a factor of exactly 2
-    assert padded_score.value == batch_score.value * 2 ** (n - b)
-    assert padded_score.n == n
-
-
-def test_pad_with_half_validation():
-    with pytest.raises(ValidationError):
-        pad_with_half([F(1, 3)], [0, 1], 3)  # length mismatch
-    with pytest.raises(ValidationError):
-        pad_with_half([F(1, 3), F(1, 4)], [2, 2], 3)  # duplicate index
-    with pytest.raises(ValidationError):
-        pad_with_half([F(1, 3)], [5], 3)  # out of range
 
 
 # tuple lookup tables
