@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .core import (
@@ -29,8 +31,10 @@ from .core import (
     Labeling,
     PredictionVector,
     ScoreKind,
-    auc,
+    _ln_positive_int,
+    _round_decimal_sig,
     logloss_decimal,
+    round_fraction_sig,
 )
 from .errors import LookupBuildError, DecodeError, ValidationError
 from .exact import (
@@ -199,21 +203,57 @@ def _guard_batch_size(b: int, phi: int) -> None:
 
 
 def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
-    """Map rounded tuples to labelings.
+    """Map rounded tuples to labelings, from 2b logarithms for all 2^b.
 
-    Raises LookupBuildError naming the first two labelings that round to
-    the same (LL, AUC) tuple at phi digits.
+    Labeling ``mask`` (bit i labels point i) adds one per-point step to the
+    log-loss sum and the doubled midrank sum of the mask without its lowest
+    bit.  AUC is exact; an LL nearer a half-even boundary than the error of
+    this sum plus logloss_decimal's is rescored by logloss_decimal, so keys
+    are what an oracle puts on the wire.  Raises LookupBuildError naming the
+    first two labelings, in mask order, that round to the same tuple.
     """
     vec = PredictionVector(entries)
     b = len(vec)
+    # logloss_decimal is within 10^(1 - sig) * LL of the truth; each quantized
+    # term within 10^-(sig + 4), _ln_positive_int's truncation far below that
+    sig = 2 * phi + 10
+    width = len(str(max(x.denominator for x in entries).bit_length()))
+    wide = Context(prec=sig + width + 8)  # ln q < bitlen(q) < 10^width
+    with localcontext(wide):  # sums of quantized terms are exact here
+        quantum = Decimal(1).scaleb(-sig - 4)
+
+        def term(q: int, part: int) -> Decimal:  # -ln(part / q) / b
+            lq, lp = _ln_positive_int(q, wide.prec), _ln_positive_int(part, wide.prec)
+            return ((lq - lp) / b).quantize(quantum)
+
+        zero = [term(x.denominator, x.denominator - x.numerator) for x in entries]
+        one = [term(x.denominator, x.numerator) for x in entries]
+        deltas = [c - z for z, c in zip(zero, one)]
+        sums, ranks = [sum(zero)], [0]
+        margin = (sum(map(max, zero, one)) + 1).scaleb(1 - sig)
+    near = Context(prec=phi, rounding=ROUND_HALF_EVEN)
+    # doubled midrank: 2 * (points below) + (points tied, itself included) + 1
+    rank2 = [2 * sum(y < x for y in entries) + entries.count(x) + 1 for x in entries]
+
+    @cache
+    def auc_wire(r2: int, pos: int) -> str:  # auc_exact's value, rounded
+        if pos in (0, b):
+            return DecimalScore("", phi, ScoreKind.AUC_NOT_DEFINED).wire()
+        return round_fraction_sig(Fraction(r2 - pos * (pos + 1), 2 * pos * (b - pos)), phi)
+
     table: dict[tuple[str, str], tuple[int, ...]] = {}
     for mask in range(1 << b):
+        if mask:
+            rest, low = mask & (mask - 1), (mask & -mask).bit_length() - 1
+            sums.append(wide.add(sums[rest], deltas[low]))
+            ranks.append(ranks[rest] + rank2[low])
         bits = tuple((mask >> i) & 1 for i in range(b))
-        labels = Labeling(bits)
-        key = (
-            logloss_decimal(vec, labels, phi).wire(),
-            auc(vec, labels, phi).wire(),
-        )
+        lo = near.subtract(sums[mask], margin)
+        if lo == near.add(sums[mask], margin):  # rounding is monotone
+            ll = _round_decimal_sig(lo, phi)
+        else:
+            ll = logloss_decimal(vec, Labeling(bits), phi).wire()
+        key = (ll, auc_wire(ranks[mask], mask.bit_count()))
         other = table.get(key)
         if other is not None:
             raise LookupBuildError(
@@ -263,8 +303,8 @@ def build_tuple_lookup(b: int, phi: int, budget: int = 32) -> TupleLookup:
     exhaustive enumeration of its 2^b labelings; there is no other way to
     prove injectivity.  Raises ValidationError when the pigeonhole bound
     already rules b out, LookupBuildError when the budget runs dry.  The
-    budget counts candidate vectors, so the worst case does budget * 2^b
-    score evaluations.
+    budget counts candidate vectors; each costs 2b logarithms and 2^b
+    additions, plus a full log loss for a labeling near a rounding tie.
     """
     _guard_batch_size(b, phi)
     tried = 0

@@ -1,10 +1,12 @@
 """Fixed-precision channel: capacity bounds, lookup tables, batched recovery."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lossprobe import precision
 from lossprobe.core import Labeling, logloss_decimal, auc, prediction_vector
 from lossprobe.errors import (
     DecodeError,
@@ -178,20 +180,119 @@ def test_no_curated_vector_above_three_digits():
 
 def test_curated_tuples_match_mpmath():
     # independent route: mpmath log loss and pair-counted AUC over every
-    # labeling of the one- and two-digit curated vectors
-    for phi in (1, 2):
+    # labeling of each curated vector, against the oracle's log-loss wire
+    # and the lookup table's own keys
+    for phi in (1, 2, 3):
         entries = list(curated_batch_vector(phi))
         b = len(entries)
         vec = prediction_vector(entries)
-        seen = set()
+        table = tuple_lookup_for(entries, phi).table
+        assert len(table) == 2**b
         for mask in range(2**b):
             bits = [(mask >> i) & 1 for i in range(b)]
             ll = mp_logloss_wire(entries, bits, phi)
             assert ll == logloss_decimal(vec, Labeling(tuple(bits)), phi).wire()
             exact_auc = naive_auc(entries, bits)
             key = (ll, "ND" if exact_auc is None else fraction_sig_wire(exact_auc, phi))
-            assert key not in seen
-            seen.add(key)
+            assert table[key] == tuple(bits)
+
+
+def _scored_one_by_one(entries, phi):
+    """Every labeling scored from scratch, in mask order: the table, or the
+    LookupBuildError text naming the first colliding pair."""
+    vec = prediction_vector(entries)
+    b = len(entries)
+    table = {}
+    for mask in range(2**b):
+        bits = tuple((mask >> i) & 1 for i in range(b))
+        key = (
+            logloss_decimal(vec, Labeling(bits), phi).wire(),
+            auc(vec, Labeling(bits), phi).wire(),
+        )
+        if key in table:
+            return (
+                f"labelings {''.join(map(str, table[key]))} and "
+                f"{''.join(map(str, bits))} both round to {key} "
+                f"at {phi} significant digits"
+            )
+        table[key] = bits
+    return table
+
+
+# small denominators tie and collide often; wide decimals rarely do
+_tie_prone = st.integers(2, 12).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: F(num, den))
+)
+_wide = st.integers(3, 9).flatmap(
+    lambda k: st.integers(1, 10**k - 1).map(lambda num: F(num, 10**k))
+)
+
+
+@st.composite
+def _batches(draw):
+    phi = draw(st.integers(1, 6))
+    b = draw(st.integers(1, min(10, max_unique_batch(phi))))
+    source = draw(st.sampled_from([_tie_prone, _wide, _wide]))
+    entries = draw(st.lists(source, min_size=b, max_size=b))
+    if b > 1 and draw(st.sampled_from([False, False, True])):
+        entries[-1] = entries[0]  # a tie: the pair's two swaps must collide
+    return entries, phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batches())
+def test_lookup_table_matches_per_labeling_scoring(case):
+    entries, phi = case
+    try:
+        got = tuple_lookup_for(entries, phi).table
+    except LookupBuildError as err:
+        got = str(err)
+    assert got == _scored_one_by_one(entries, phi)
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """Labelings the lookup build hands to logloss_decimal, in call order."""
+    calls = []
+    real = precision.logloss_decimal
+
+    def spy(vec, labels, phi):
+        calls.append(labels.bits)
+        return real(vec, labels, phi)
+
+    monkeypatch.setattr(precision, "logloss_decimal", spy)
+    return calls
+
+
+@pytest.mark.parametrize("above", ["0", "3e-13"])
+def test_lookup_rescores_an_ll_at_a_rounding_boundary(above, rescored):
+    # -ln x is 0.25 + above, to within 1e-39.  0.25 is the half-even boundary
+    # between the one-digit values 2e-1 and 3e-1.  At 3e-13 above it the
+    # true value rounds up, but logloss_decimal's 12 working digits land on
+    # the tie and put 2e-1 on the wire, which is what the table must hold.
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = F((-Decimal("0.25") - Decimal(above)).exp())
+    table = tuple_lookup_for([x], 1).table
+    assert rescored == [(1,)]
+    wire = logloss_decimal(prediction_vector([x]), Labeling((1,)), 1).wire()
+    assert table[(wire, "ND")] == (1,)
+
+
+@pytest.mark.parametrize("phi", [1, 2, 3])
+def test_curated_verification_rescores_no_labeling(phi, rescored):
+    lookup = tuple_lookup_for(curated_batch_vector(phi), phi)
+    assert len(lookup.table) == 2 ** len(lookup.entries)
+    assert rescored == []
+
+
+@pytest.mark.parametrize("phi", [1, 2])
+def test_lookup_table_with_wide_denominators(phi):
+    # the curated vector moved by 3^-1000: 1585 bits per entry or more, so
+    # the per-point logs take core._ln_positive_int's top-slice route
+    wide = 3**1000
+    entries = [F(x.numerator * wide + 1, x.denominator * wide) for x in curated_batch_vector(phi)]
+    assert tuple_lookup_for(entries, phi).table == _scored_one_by_one(entries, phi)
 
 
 def test_binary_fallback_when_grid_collides():
