@@ -27,7 +27,7 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import ContextManager, Iterable, Iterator
+from typing import ContextManager, Iterator
 
 from .errors import ValidationError
 from .primes import tree_product
@@ -77,11 +77,6 @@ class Labeling:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    @property
-    def ones(self) -> tuple[int, ...]:
-        """1-based positions labeled 1."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
 
     @classmethod
     def from_string(cls, text: str) -> "Labeling":
@@ -417,18 +412,28 @@ def exact_score_multiclass(v: PredictionMatrix, labels: ClassLabeling) -> ExactS
 def logloss_decimal(x: PredictionVector, labels: Labeling, phi: int) -> DecimalScore:
     """LL(x, labels) rounded half-even to phi significant digits.
 
-    Computed as ln(exact score) / n at a working precision generous enough
-    that the single final rounding is the only rounding.
+    Computed as ln(exact score) / n and bracketed by its error bound; when
+    the two ends of the bracket round apart, the working precision doubles.
+    LL is ln of a rational other than 1 over n, so it is transcendental and
+    never sits exactly on a tie: the loop ends, and the rounding is exact.
     """
     if phi < 1:
         raise ValidationError("need at least one significant digit")
     score = exact_score(x, labels)
+    near = Context(prec=phi, rounding=ROUND_HALF_EVEN)
     sig = 2 * phi + 10
-    ln_value = _ln_fraction(score.value, sig)
-    with localcontext() as ctx:
-        ctx.prec = max(sig, ln_value.adjusted() + sig)
-        ll = ln_value / score.n
-    return DecimalScore(digits=_round_decimal_sig(ll, phi), phi=phi, kind=ScoreKind.LOGLOSS)
+    while True:
+        ln_value = _ln_fraction(score.value, sig)
+        with localcontext() as ctx:
+            ctx.prec = max(sig, ln_value.adjusted() + sig)
+            ll = ln_value / score.n
+        # sig good digits from _ln_fraction, at least sig from the division
+        margin = ll.scaleb(2 - sig)
+        lo = near.subtract(ll, margin)  # exact, then one rounding to phi
+        if lo == near.add(ll, margin):  # rounding is monotone
+            digits = _round_decimal_sig(lo, phi)
+            return DecimalScore(digits=digits, phi=phi, kind=ScoreKind.LOGLOSS)
+        sig *= 2
 
 
 def auc_exact(x: PredictionVector, labels: Labeling) -> Fraction | None:
@@ -522,14 +527,6 @@ def format_rational(value: Fraction) -> str:
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
     with _int_digits(bits * 302 // 1000 + 3):
         return f"{value.numerator}/{value.denominator}"
-
-
-def prediction_vector(entries: Iterable[Fraction | str]) -> PredictionVector:
-    """Convenience constructor accepting Fractions or 'p/q' strings."""
-    parsed: list[Fraction] = []
-    for e in entries:
-        parsed.append(parse_rational(e) if isinstance(e, str) else e)
-    return PredictionVector(tuple(parsed))
 
 
 _WIRE_SCORE = re.compile(r"(\d)(?:\.(\d+))?e(-?\d+)\Z")

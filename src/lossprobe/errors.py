@@ -29,7 +29,7 @@ class PrecisionError(LossProbeError):
 
 
 class LookupBuildError(LossProbeError):
-    """No candidate vector produced an injective score table within budget."""
+    """Two labelings of a batch vector round to the same (LL, AUC) tuple."""
 
 
 class OracleProtocolError(LossProbeError):

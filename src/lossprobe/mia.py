@@ -78,11 +78,11 @@ class CandidateSet:
         return len(self.ids)
 
     @classmethod
-    def numbered(cls, n: int, prefix: str = "point-") -> "CandidateSet":
+    def numbered(cls, n: int) -> "CandidateSet":
         if n < 1:
             raise ValidationError("need at least one candidate")
         width = len(str(n - 1))
-        return cls(tuple(f"{prefix}{i:0{width}d}" for i in range(n)))
+        return cls(tuple(f"point-{i:0{width}d}" for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,6 @@ class CuratorOracle:
     def __init__(self, hidden: MembershipVector):
         self.__hidden = hidden
         self._queries = 0
-
-    @property
-    def n(self) -> int:
-        return len(self.__hidden)
 
     @property
     def queries_used(self) -> int:

@@ -19,12 +19,11 @@ use it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     DecimalScore,
@@ -168,12 +167,8 @@ class TupleLookup:
     phi: int
     table: Mapping[tuple[str, str], tuple[int, ...]]
 
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def labeling_for(self, ll: DecimalScore | str, auc_score: DecimalScore | str) -> Labeling:
-        ll_wire = ll if isinstance(ll, str) else ll.wire()
-        auc_wire = auc_score if isinstance(auc_score, str) else auc_score.wire()
+    def labeling_for(self, ll: DecimalScore, auc_score: DecimalScore) -> Labeling:
+        ll_wire, auc_wire = ll.wire(), auc_score.wire()
         bits = self.table.get((ll_wire, auc_wire))
         if bits is None:
             raise DecodeError(
@@ -207,15 +202,16 @@ def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
 
     Labeling ``mask`` (bit i labels point i) adds one per-point step to the
     log-loss sum and the doubled midrank sum of the mask without its lowest
-    bit.  AUC is exact; an LL nearer a half-even boundary than the error of
-    this sum plus logloss_decimal's is rescored by logloss_decimal, so keys
-    are what an oracle puts on the wire.  Raises LookupBuildError naming the
-    first two labelings, in mask order, that round to the same tuple.
+    bit.  AUC is exact; an LL within a margin of a half-even boundary is
+    rescored by logloss_decimal, so keys are what an oracle puts on the
+    wire.  Raises LookupBuildError naming the first two labelings, in mask
+    order, that round to the same tuple.
     """
     vec = PredictionVector(entries)
     b = len(vec)
-    # logloss_decimal is within 10^(1 - sig) * LL of the truth; each quantized
-    # term within 10^-(sig + 4), _ln_positive_int's truncation far below that
+    # each quantized term is within 10^-(sig + 4) of the truth and
+    # _ln_positive_int's truncation far below that, so the margin of
+    # 10^(1 - sig) * (LL + 1) bounds the sum's error with room to spare
     sig = 2 * phi + 10
     width = len(str(max(x.denominator for x in entries).bit_length()))
     wide = Context(prec=sig + width + 8)  # ln q < bitlen(q) < 10^width
@@ -276,70 +272,35 @@ def tuple_lookup_for(entries: Sequence[Fraction], phi: int) -> TupleLookup:
     return TupleLookup(entries=vec, phi=phi, table=_tuple_table(vec, phi))
 
 
-def _candidate_vectors(b: int, phi: int) -> Iterator[tuple[Fraction, ...]]:
-    """Deterministic stream of batch vectors to try, best bets first.
-
-    Order: the curated vector's prefix, an evenly spaced grid, short runs
-    over small denominators, then seeded pseudorandom numerators.  The
-    stream is infinite; the caller's budget cuts it off.
-    """
-    curated = curated_batch_vector(phi)
-    if curated is not None and len(curated) >= b:
-        yield curated[:b]
-    yield tuple(Fraction(i, b + 1) for i in range(1, b + 1))
-    for d in range(b + 2, b + 10):
-        yield tuple(Fraction(i, d) for i in range(1, b + 1))
-    rng = random.Random(f"tuple-lookup:{b}:{phi}")
-    d = 10 ** (phi + 4)
-    while True:
-        nums = sorted(rng.sample(range(1, d), b))
-        yield tuple(Fraction(a, d) for a in nums)
-
-
-def build_tuple_lookup(b: int, phi: int, budget: int = 32) -> TupleLookup:
-    """Find a b-point vector whose rounded tuples separate all labelings.
-
-    Candidates come from _candidate_vectors and each one is verified by
-    exhaustive enumeration of its 2^b labelings; there is no other way to
-    prove injectivity.  Raises ValidationError when the pigeonhole bound
-    already rules b out, LookupBuildError when the budget runs dry.  The
-    budget counts candidate vectors; each costs 2b logarithms and 2^b
-    additions, plus a full log loss for a labeling near a rounding tie.
-    """
-    _guard_batch_size(b, phi)
-    tried = 0
-    for entries in _candidate_vectors(b, phi):
-        if tried >= budget:
-            break
-        tried += 1
-        try:
-            return TupleLookup(entries=entries, phi=phi, table=_tuple_table(entries, phi))
-        except LookupBuildError:
-            continue
-    raise LookupBuildError(
-        f"no injective {b}-point vector found at {phi} significant digits "
-        f"after {tried} candidates; retry with a smaller batch"
-    )
-
-
 _LOOKUP_CACHE: dict[tuple[int, int], TupleLookup] = {}
 
 
-def _cached_lookup(b: int, phi: int) -> TupleLookup:
+def build_tuple_lookup(b: int, phi: int) -> TupleLookup:
+    """The verified lookup for the first b points of the curated vector.
+
+    These prefixes are the only tuple-table batches plan_batches asks for.
+    Each is verified by exhaustive enumeration of its 2^b labelings on
+    first use and cached per (phi, b).  Raises ValidationError when the
+    guards rule b out or no curated vector reaches b points at phi digits.
+    """
+    _guard_batch_size(b, phi)
     key = (phi, b)
     found = _LOOKUP_CACHE.get(key)
     if found is None:
-        found = build_tuple_lookup(b, phi)
-        _LOOKUP_CACHE[key] = found
+        curated = curated_batch_vector(phi)
+        if curated is None or len(curated) < b:
+            raise ValidationError(
+                f"no curated vector reaches {b} points at {phi} significant digits"
+            )
+        found = _LOOKUP_CACHE[key] = tuple_lookup_for(curated[:b], phi)
     return found
 
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """One planned oracle query: which indices, resolved how."""
+    """One planned oracle query: which indices, padded by which recovered ones."""
 
     indices: tuple[int, ...]
-    method: str  # "tuple-table" or "binary-decimal"
     fill: tuple[int, ...] = ()  # already-recovered indices used as padding
 
 
@@ -351,7 +312,7 @@ class AttackPlan:
     phi: int
     pigeonhole_batch: int
     bound: int
-    method: str
+    method: str  # "tuple-table" or "binary-decimal"
     batch_size: int
     batches: tuple[BatchSpec, ...]
 
@@ -402,7 +363,7 @@ def plan_batches(n: int, phi: int) -> AttackPlan:
             # keep the verified batch length by re-asking already
             # recovered indices; their answers double as a lie detector
             fill = tuple(range(start - (size - len(chunk)), start))
-        batches.append(BatchSpec(indices=chunk, method=method, fill=fill))
+        batches.append(BatchSpec(indices=chunk, fill=fill))
     return AttackPlan(
         n=n,
         phi=phi,
@@ -428,8 +389,8 @@ def batched_inference(
     recovered: list[int | None] = [None] * n
     for batch in plan.batches:
         ask = batch.fill + batch.indices
-        if batch.method == "tuple-table":
-            lookup = _cached_lookup(len(ask), phi)
+        if plan.method == "tuple-table":
+            lookup = build_tuple_lookup(len(ask), phi)
             ll, auc_score = oracle.decimal_scores(lookup.entries, phi, indices=ask)
             labeling = lookup.labeling_for(ll, auc_score)
         else:

@@ -86,9 +86,6 @@ class TwinPrimeTable:
                 raise ValidationError("twin table must be ascending and start at 5")
             prev = p
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
 
 @lru_cache(maxsize=8)
 def twin_primes(n: int) -> TwinPrimeTable:

@@ -1,6 +1,11 @@
 """The public API: changing `lossprobe.__all__` takes an edit here."""
 
+import ast
+from pathlib import Path
+
 import lossprobe
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "AttackMode",
@@ -52,7 +57,6 @@ PUBLIC = [
     "parse_rational",
     "perturb_prime",
     "plan_batches",
-    "prediction_vector",
     "query_bound",
     "required_precision_binary",
     "round_fraction_sig",
@@ -68,3 +72,25 @@ def test_public_names_are_pinned():
         getattr(lossprobe, name)  # raises if the name does not resolve
     # the size guards are module constants, not public configuration
     assert not {"Limits", "DEFAULT_LIMITS"} & set(dir(lossprobe))
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a file loads or reads as attributes, outside their own def/class."""
+    found = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = getattr(stmt, "name", None)  # a top-level def or class
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+        found.discard(own)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    package = ROOT / "src" / "lossprobe"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "bench").glob("*.py")
+    used = set().union(*map(_referenced_names, sources))
+    assert [name for name in lossprobe.__all__ if name not in used] == []

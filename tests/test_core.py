@@ -1,6 +1,7 @@
 """Exact scores, rounding, and serialization against independent oracles."""
 
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from lossprobe.core import (
     logloss_decimal,
     parse_decimal_score,
     parse_rational,
-    prediction_vector,
     round_fraction_sig,
 )
 from lossprobe.errors import ValidationError
@@ -46,7 +46,7 @@ F = Fraction
 @given(vectors_with_labels())
 def test_exact_score_matches_naive_product(case):
     entries, labels = case
-    score = exact_score(prediction_vector(entries), Labeling(tuple(labels)))
+    score = exact_score(PredictionVector(tuple(entries)), Labeling(tuple(labels)))
     assert score.value == naive_exact_score(entries, labels)
     assert score.n == len(entries)
 
@@ -69,13 +69,13 @@ _folded_entries = _folded_denominators.flatmap(
 )
 def test_exact_score_with_folded_denominators_matches_naive_product(case):
     entries, labels = case
-    score = exact_score(prediction_vector(entries), Labeling(tuple(labels)))
+    score = exact_score(PredictionVector(tuple(entries)), Labeling(tuple(labels)))
     assert score.value == naive_exact_score(entries, labels)
 
 
 def test_exact_score_reduced():
     score = exact_score(
-        prediction_vector([F(1, 4), F(1, 4)]), Labeling((1, 1))
+        PredictionVector((F(1, 4), F(1, 4))), Labeling((1, 1))
     )
     assert score.value == F(16, 1)
     assert score.value.denominator == 1
@@ -83,7 +83,7 @@ def test_exact_score_reduced():
 
 def test_exact_score_length_mismatch():
     with pytest.raises(ValidationError):
-        exact_score(prediction_vector([F(1, 2)]), Labeling((1, 0)))
+        exact_score(PredictionVector((F(1, 2),)), Labeling((1, 0)))
 
 
 def test_prediction_vector_rejects_endpoints():
@@ -172,7 +172,7 @@ def test_round_fraction_sig_rejects_negative():
     [(1, "4e-1"), (2, "4.1e-1"), (3, "4.15e-1"), (4, "4.149e-1")],
 )
 def test_logloss_known_vector(phi, expected):
-    vec = prediction_vector([F(1, 5), F(2, 5), F(3, 5)])
+    vec = PredictionVector((F(1, 5), F(2, 5), F(3, 5)))
     got = logloss_decimal(vec, Labeling((0, 0, 1)), phi)
     assert got.digits == expected
     assert got.kind is ScoreKind.LOGLOSS
@@ -180,7 +180,7 @@ def test_logloss_known_vector(phi, expected):
 
 
 def test_logloss_single_coin_is_ln_two():
-    vec = prediction_vector([F(1, 2)])
+    vec = PredictionVector((F(1, 2),))
     for bit in (0, 1):
         assert logloss_decimal(vec, Labeling((bit,)), 3).digits == "6.93e-1"
 
@@ -190,9 +190,21 @@ def test_logloss_single_coin_is_ln_two():
 def test_logloss_matches_mpmath(case, phi):
     entries, labels = case
     mine = logloss_decimal(
-        prediction_vector(entries), Labeling(tuple(labels)), phi
+        PredictionVector(tuple(entries)), Labeling(tuple(labels)), phi
     ).digits
     assert mine == mp_logloss_wire(entries, labels, phi)
+
+
+@pytest.mark.parametrize("offset,expected", [("3e-13", "3e-1"), ("-3e-13", "2e-1")])
+def test_logloss_rounds_once_next_to_a_tie(offset, expected):
+    # -ln x is 0.25 + offset to within 1e-39, a hair off the half-even
+    # boundary between 2e-1 and 3e-1: rounding first to 12 digits would
+    # land on 0.25 itself and round both to 2e-1
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = F((-Decimal("0.25") - Decimal(offset)).exp())
+    got = logloss_decimal(PredictionVector((x,)), Labeling((1,)), 1).wire()
+    assert got == expected == mp_logloss_wire([x], [1], 1)
 
 
 # AUC
@@ -208,20 +220,20 @@ def test_auc_matches_pair_counting(n, data):
     )
     labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     assert auc_exact(
-        prediction_vector(entries), Labeling(tuple(labels))
+        PredictionVector(tuple(entries)), Labeling(tuple(labels))
     ) == naive_auc(entries, labels)
 
 
 def test_auc_tie_gets_half_credit():
     entries = [F(1, 2), F(1, 2), F(3, 4)]
-    vec = prediction_vector(entries)
+    vec = PredictionVector(tuple(entries))
     assert auc_exact(vec, Labeling((1, 0, 1))) == F(3, 4)
     assert auc_exact(vec, Labeling((0, 1, 0))) == F(1, 4)
 
 
 def test_auc_reversal_symmetry():
     entries = [F(1, 5), F(2, 5), F(3, 5), F(2, 5)]
-    vec = prediction_vector(entries)
+    vec = PredictionVector(tuple(entries))
     labels = (0, 1, 1, 0)
     flipped = tuple(1 - b for b in labels)
     a = auc_exact(vec, Labeling(labels))
@@ -230,7 +242,7 @@ def test_auc_reversal_symmetry():
 
 
 def test_auc_undefined_for_single_class():
-    vec = prediction_vector([F(1, 5), F(2, 5)])
+    vec = PredictionVector((F(1, 5), F(2, 5)))
     for bits in ((1, 1), (0, 0)):
         assert auc_exact(vec, Labeling(bits)) is None
         rounded = auc(vec, Labeling(bits), 2)
@@ -239,7 +251,7 @@ def test_auc_undefined_for_single_class():
 
 
 def test_auc_wire_values():
-    vec = prediction_vector([F(1, 5), F(2, 5), F(3, 5)])
+    vec = PredictionVector((F(1, 5), F(2, 5), F(3, 5)))
     assert auc(vec, Labeling((0, 0, 1)), 2).wire() == "1.0e0"
     assert auc(vec, Labeling((1, 0, 0)), 2).wire() == "0.0e0"
     assert auc(vec, Labeling((0, 1, 0)), 2).wire() == "5.0e-1"
@@ -252,7 +264,6 @@ def test_labeling_string_roundtrip():
     lab = Labeling.from_string("10110")
     assert lab.bits == (1, 0, 1, 1, 0)
     assert lab.to_string() == "10110"
-    assert lab.ones == (1, 3, 4)
 
 
 def test_labeling_rejects_garbage():
@@ -359,6 +370,6 @@ def test_decimal_score_validation():
 @given(vectors_with_labels(max_size=5), st.integers(1, 5))
 def test_logloss_wire_parses_back(case, phi):
     entries, labels = case
-    score = logloss_decimal(prediction_vector(entries), Labeling(tuple(labels)), phi)
+    score = logloss_decimal(PredictionVector(tuple(entries)), Labeling(tuple(labels)), phi)
     again = parse_decimal_score(score.wire(), phi, ScoreKind.LOGLOSS)
     assert again == score

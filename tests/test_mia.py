@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lossprobe.core import Labeling, ScoreKind, logloss_decimal, prediction_vector
+from lossprobe.core import Labeling, PredictionVector, ScoreKind, logloss_decimal
 from lossprobe.errors import DecodeError, ValidationError
 from lossprobe.exact import BINARY_MAX_N, build_twin_prime_vector, decode_twin_prime_value
 from lossprobe.mia import (
@@ -57,7 +57,6 @@ def test_membership_vector_seeded():
 
 def test_oracle_counts_queries():
     oracle = curator_oracle(MembershipVector(Labeling((1, 0, 1))))
-    assert oracle.n == 3
     assert oracle.queries_used == 0
     vec = build_twin_prime_vector(3)
     oracle.exact_response(vec.entries)
@@ -78,7 +77,7 @@ def test_oracle_subset_queries_line_up_with_indices():
     entries = [F(1, 5), F(2, 5)]
     # indices (2, 1) selects hidden bits (1, 0)
     ll, auc_score = oracle.decimal_scores(entries, 2, indices=(2, 1))
-    direct = logloss_decimal(prediction_vector(entries), Labeling((1, 0)), 2)
+    direct = logloss_decimal(PredictionVector(tuple(entries)), Labeling((1, 0)), 2)
     assert ll == direct
     assert auc_score.kind is ScoreKind.AUC
 

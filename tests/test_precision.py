@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lossprobe import precision
-from lossprobe.core import Labeling, logloss_decimal, auc, prediction_vector
+from lossprobe.core import (
+    DecimalScore,
+    Labeling,
+    PredictionVector,
+    ScoreKind,
+    auc,
+    logloss_decimal,
+)
 from lossprobe.errors import (
     DecodeError,
     LookupBuildError,
@@ -111,15 +118,13 @@ def test_query_bound_rejects_nonpositive():
 def test_paper_vector_separates_at_two_digits():
     lookup = tuple_lookup_for([F(1, 5), F(2, 5), F(3, 5)], 2)
     assert len(lookup.table) == 8
-    vec = prediction_vector([F(1, 5), F(2, 5), F(3, 5)])
+    vec = PredictionVector((F(1, 5), F(2, 5), F(3, 5)))
     for mask in range(8):
         bits = tuple((mask >> i) & 1 for i in range(3))
         lab = Labeling(bits)
         ll = logloss_decimal(vec, lab, 2)
         a = auc(vec, lab, 2)
         assert lookup.labeling_for(ll, a).bits == bits
-        # raw wire strings work too
-        assert lookup.labeling_for(ll.wire(), a.wire()).bits == bits
 
 
 def test_lookup_collision_names_both_labelings():
@@ -132,7 +137,10 @@ def test_lookup_collision_names_both_labelings():
 def test_lookup_miss_raises():
     lookup = tuple_lookup_for([F(1, 5), F(2, 5), F(3, 5)], 2)
     with pytest.raises(DecodeError):
-        lookup.labeling_for("9.9e9", "5.0e-1")
+        lookup.labeling_for(
+            DecimalScore("9.9e9", 2, ScoreKind.LOGLOSS),
+            DecimalScore("5.0e-1", 2, ScoreKind.AUC),
+        )
 
 
 def test_pigeonhole_guard_rejects_before_search():
@@ -148,12 +156,13 @@ def test_build_rejects_nonpositive_batch():
         build_tuple_lookup(0, 2)
 
 
-def test_budget_exhaustion_raises_build_error():
-    # thirteen points pass the pigeonhole test at two digits but no
-    # candidate vector separates them; a tiny budget fails fast
-    with pytest.raises(LookupBuildError) as err:
-        build_tuple_lookup(13, 2, budget=3)
-    assert "3 candidates" in str(err.value)
+@pytest.mark.parametrize("b,phi", [(1, 4), (9, 2), (13, 2)])
+def test_build_rejects_batches_past_the_curated_vector(b, phi):
+    # no curated vector at four digits; nine and thirteen points pass the
+    # two-digit pigeonhole cap but not the eight-point curated vector
+    with pytest.raises(ValidationError) as err:
+        build_tuple_lookup(b, phi)
+    assert f"{b} points at {phi} significant digits" in str(err.value)
 
 
 def test_build_deterministic():
@@ -185,7 +194,7 @@ def test_curated_tuples_match_mpmath():
     for phi in (1, 2, 3):
         entries = list(curated_batch_vector(phi))
         b = len(entries)
-        vec = prediction_vector(entries)
+        vec = PredictionVector(tuple(entries))
         table = tuple_lookup_for(entries, phi).table
         assert len(table) == 2**b
         for mask in range(2**b):
@@ -200,7 +209,7 @@ def test_curated_tuples_match_mpmath():
 def _scored_one_by_one(entries, phi):
     """Every labeling scored from scratch, in mask order: the table, or the
     LookupBuildError text naming the first colliding pair."""
-    vec = prediction_vector(entries)
+    vec = PredictionVector(tuple(entries))
     b = len(entries)
     table = {}
     for mask in range(2**b):
@@ -267,15 +276,14 @@ def rescored(monkeypatch):
 @pytest.mark.parametrize("above", ["0", "3e-13"])
 def test_lookup_rescores_an_ll_at_a_rounding_boundary(above, rescored):
     # -ln x is 0.25 + above, to within 1e-39.  0.25 is the half-even boundary
-    # between the one-digit values 2e-1 and 3e-1.  At 3e-13 above it the
-    # true value rounds up, but logloss_decimal's 12 working digits land on
-    # the tie and put 2e-1 on the wire, which is what the table must hold.
+    # between the one-digit values 2e-1 and 3e-1, well inside the table's
+    # margin, so the table must take the wire logloss_decimal puts out.
     with localcontext() as ctx:
         ctx.prec = 40
         x = F((-Decimal("0.25") - Decimal(above)).exp())
     table = tuple_lookup_for([x], 1).table
     assert rescored == [(1,)]
-    wire = logloss_decimal(prediction_vector([x]), Labeling((1,)), 1).wire()
+    wire = logloss_decimal(PredictionVector((x,)), Labeling((1,)), 1).wire()
     assert table[(wire, "ND")] == (1,)
 
 
@@ -293,14 +301,6 @@ def test_lookup_table_with_wide_denominators(phi):
     wide = 3**1000
     entries = [F(x.numerator * wide + 1, x.denominator * wide) for x in curated_batch_vector(phi)]
     assert tuple_lookup_for(entries, phi).table == _scored_one_by_one(entries, phi)
-
-
-def test_binary_fallback_when_grid_collides():
-    # at four digits there is no curated vector; a single point is resolved
-    # by the generator chain instead (1/2 collides, the next candidate wins)
-    lookup = build_tuple_lookup(1, 4)
-    assert len(lookup.table) == 2
-    assert lookup.entries[0] != F(1, 2)
 
 
 # planning
@@ -352,6 +352,16 @@ def test_plan_partition_property():
         assert plan.planned_queries == -(-n // plan.batch_size)
 
 
+@given(st.integers(1, 6), st.integers(1, 400))
+def test_tuple_table_batches_stay_within_the_curated_vector(phi, n):
+    # so build_tuple_lookup's past-the-curated-vector error cannot reach
+    # batched_inference
+    plan = plan_batches(n, phi)
+    if plan.method == "tuple-table":
+        size = len(curated_batch_vector(phi))
+        assert all(len(batch.fill + batch.indices) <= size for batch in plan.batches)
+
+
 # end-to-end batched recovery
 
 
@@ -387,6 +397,37 @@ def test_batched_inference_seed_sweep_sixty_two_digits():
         recovered, plan = batched_inference(oracle.scoring_view(), 60, 2)
         assert recovered.bits == hidden.bits.bits
         assert oracle.queries_used == 8
+
+
+def test_batched_inference_verifies_each_prefix_once(monkeypatch):
+    verified = []
+    real = precision._tuple_table
+
+    def spy(entries, phi):
+        verified.append((phi, len(entries)))
+        return real(entries, phi)
+
+    monkeypatch.setattr(precision, "_tuple_table", spy)
+    saved = dict(precision._LOOKUP_CACHE)
+    precision._LOOKUP_CACHE.clear()
+    try:
+        for phi in (1, 2, 3):
+            size = len(curated_batch_vector(phi))
+            for n in (size - 2, size + 3):
+                for seed in (0, 1):
+                    hidden = _hidden(n, seed)
+                    recovered, _ = batched_inference(
+                        curator_oracle(hidden).scoring_view(), n, phi
+                    )
+                    assert recovered.bits == hidden.bits.bits
+        cached = dict(precision._LOOKUP_CACHE)
+    finally:
+        precision._LOOKUP_CACHE.clear()
+        precision._LOOKUP_CACHE.update(saved)
+    assert sorted(verified) == sorted(set(verified)) == sorted(cached)
+    assert sorted(cached) == [(1, 3), (1, 5), (2, 6), (2, 8), (3, 10), (3, 12)]
+    for (phi, b), lookup in cached.items():
+        assert lookup.entries == curated_batch_vector(phi)[:b]
 
 
 class _TwoFacedOracle:
