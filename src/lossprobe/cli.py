@@ -264,12 +264,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if n is None:
         raise ValidationError(f"decoding a {args.kind} score needs n")
     if args.kind == "binary":
-        labeling = decode_binary(ExactScore(value=value, n=n), n)
+        labeling = decode_binary(ExactScore(value=value, n=n))
         print(labeling.to_string())
         return 0
     if args.k is None:
         raise ValidationError("decoding a multiclass score needs --k")
-    classes = decode_multiclass(ExactScore(value=value, n=n), n, args.k)
+    classes = decode_multiclass(ExactScore(value=value, n=n), args.k)
     print(classes.to_string())
     return 0
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import ContextManager, Iterator
+from functools import cached_property, partial
+from typing import Callable, ContextManager, Iterator
 
 from .errors import ValidationError
 from .primes import tree_product
@@ -409,31 +409,40 @@ def exact_score_multiclass(v: PredictionMatrix, labels: ClassLabeling) -> ExactS
     return ExactScore(value=1 / product, n=len(v))
 
 
-def logloss_decimal(x: PredictionVector, labels: Labeling, phi: int) -> DecimalScore:
-    """LL(x, labels) rounded half-even to phi significant digits.
+def _rounded_ll(ln_at: Callable[[int], Decimal], n: int, phi: int) -> DecimalScore:
+    """n * LL rounded half-even to phi significant digits, from ln_at(sig).
 
-    Computed as ln(exact score) / n and bracketed by its error bound; when
-    the two ends of the bracket round apart, the working precision doubles.
-    LL is ln of a rational other than 1 over n, so it is transcendental and
-    never sits exactly on a tie: the loop ends, and the rounding is exact.
+    ln_at(sig) returns n * LL to at least sig significant digits.  LL is
+    bracketed by that error bound; when the two ends of the bracket round
+    apart, sig doubles.  Every score here is ln of a rational other than 1,
+    over n, so LL is transcendental and never sits exactly on a tie: the
+    loop ends, and the rounding is exact.
     """
-    if phi < 1:
-        raise ValidationError("need at least one significant digit")
-    score = exact_score(x, labels)
     near = Context(prec=phi, rounding=ROUND_HALF_EVEN)
     sig = 2 * phi + 10
     while True:
-        ln_value = _ln_fraction(score.value, sig)
+        ln_value = ln_at(sig)
         with localcontext() as ctx:
             ctx.prec = max(sig, ln_value.adjusted() + sig)
-            ll = ln_value / score.n
-        # sig good digits from _ln_fraction, at least sig from the division
+            ll = ln_value / n
+        # sig good digits from ln_at, at least sig from the division
         margin = ll.scaleb(2 - sig)
         lo = near.subtract(ll, margin)  # exact, then one rounding to phi
         if lo == near.add(ll, margin):  # rounding is monotone
             digits = _round_decimal_sig(lo, phi)
             return DecimalScore(digits=digits, phi=phi, kind=ScoreKind.LOGLOSS)
         sig *= 2
+
+
+def logloss_decimal(x: PredictionVector, labels: Labeling, phi: int) -> DecimalScore:
+    """LL(x, labels) rounded half-even to phi significant digits.
+
+    Computed as ln(exact score) / n and rounded exactly by _rounded_ll.
+    """
+    if phi < 1:
+        raise ValidationError("need at least one significant digit")
+    score = exact_score(x, labels)
+    return _rounded_ll(partial(_ln_fraction, score.value), score.n, phi)
 
 
 def auc_exact(x: PredictionVector, labels: Labeling) -> Fraction | None:

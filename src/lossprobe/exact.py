@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import accumulate
 
 from .core import (
@@ -29,7 +30,7 @@ from .core import (
     PredictionMatrix,
     PredictionVector,
     ScoreKind,
-    _round_decimal_sig,
+    _rounded_ll,
     _split_pow2,
     _wide_str,
     coprime_fraction,
@@ -170,12 +171,9 @@ def build_binary_vector(n: int) -> PredictionVector:
     return PredictionVector(tuple(entries))
 
 
-def decode_binary(score: ExactScore, n: int | None = None) -> Labeling:
+def decode_binary(score: ExactScore) -> Labeling:
     """Read the labeling out of the reduced denominator's exponent of two."""
-    if n is None:
-        n = score.n
-    elif n != score.n:
-        raise DecodeError(f"caller says n = {n} but the score carries n = {score.n}")
+    n = score.n
     numerator, denominator = score.value.numerator, score.value.denominator
     expected_bits = 1 << n
     if numerator.bit_length() != expected_bits:
@@ -191,54 +189,38 @@ def decode_binary(score: ExactScore, n: int | None = None) -> Labeling:
     return Labeling(tuple((exponent >> i) & 1 for i in range(n)))
 
 
-def _log10_c(n: int) -> float:
-    """Float estimate of log10 C(n), C(n) = sum_j ln(1 + 2^(2^(j-1))).
-
-    C is (2^n - 1) ln 2 plus corrections below ln 2; past n = 40 the
-    estimate moves to log space so 2.0**n cannot overflow.
-    """
-    if n > 40:
-        return n * math.log10(2) + math.log10(math.log(2))
-    return math.log10((2.0**n - 1) * math.log(2) + 0.7)
-
-
-def _log_sum_digits(n: int) -> int:
-    """Decimal digits in the integer part of C(n)."""
-    return max(1, int(_log10_c(n)) + 1)
-
-
 def required_precision_binary(n: int) -> int:
     """Significant digits phi that guarantee decode_binary_from_decimal works.
 
     Sufficient condition: the worst-case quantization error of LL at phi
-    digits, propagated through N = (C - n LL) log2(e), stays below 1/4.
+    digits, propagated through N = (C - n LL) log2(e), stays below 1/4,
+    which takes floor(log10(4 C log2(e))) + 2 digits.  C = ln(2^(2^n) - 1)
+    puts 4 C log2(e) in (4 * 2^n - 4, 4 * 2^n), a gap no power of ten falls
+    in, so the count is read off the digits of 4 * 2^n exactly.
     """
     if n < 1:
         raise ValidationError("need at least one datapoint")
     if n > BINARY_DECIMAL_MAX_N:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
-    # X = 4 C log2(e)
-    log10_x = math.log10(4 / math.log(2)) + _log10_c(n)
-    return int(math.floor(log10_x + 1e-12)) + 2
+    return len(str(4 << n)) + 1
 
 
-def _binary_log_constant(n: int, prec: int) -> Decimal:
-    """C = sum_j ln(1 + 2^(2^(j-1))) without materializing the huge terms.
+def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
+    """ln((2^(2^n) - 1) / 2^exponent), n LL of the binary construction, to digits.
 
-    Each term is 2^(j-1) ln 2 + ln(1 + 2^-2^(j-1)); corrections below the
-    working precision are dropped.
+    The entries' denominators telescope, prod (1 + 2^(2^(i-1))) = 2^(2^n) - 1,
+    so the value is (2^n - exponent) ln 2 + ln(1 - 2^-2^n).  The first term
+    is at least ln 2 and the second at least ln(3/4), so nothing cancels and
+    the working precision does not grow with n; past 4 * digits + 40 bits
+    the second term is below every digit kept.
     """
     with localcontext() as ctx:
-        ctx.prec = prec + 10
-        ln2 = Decimal(2).ln()
-        total = ((1 << n) - 1) * ln2
-        for j in range(1, n + 1):
-            scale = 1 << (j - 1)
-            if scale > (prec + 12) * 4:  # 2^-scale is beyond the precision
-                break
-            correction = (1 + Decimal(2) ** -scale).ln()
-            total += correction
-        return +total
+        ctx.prec = digits + 10
+        width = 1 << n
+        value = (width - exponent) * Decimal(2).ln()
+        if width <= 4 * digits + 40:
+            value += (1 - Decimal(2) ** -width).ln()
+        return value
 
 
 def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
@@ -253,10 +235,10 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
         raise ValidationError("need at least one datapoint")
     if n > BINARY_DECIMAL_MAX_N:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
-    prec = _log_sum_digits(n) + max(ll.phi, 20) + 10
+    prec = len(str(1 << n)) + max(ll.phi, 20) + 10
     with localcontext() as ctx:
         ctx.prec = prec
-        c = _binary_log_constant(n, prec)
+        c = _binary_log(n, 0, prec)
         estimate = (c - n * Decimal(ll.digits)) / Decimal(2).ln()
         nearest = int(estimate.to_integral_value())
         residual = abs(estimate - nearest)
@@ -286,15 +268,7 @@ def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, D
     if n > BINARY_DECIMAL_MAX_N:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
     bitmask = sum(bit << i for i, bit in enumerate(labels.bits))
-    sig = 2 * phi + 10
-    prec = sig + _log_sum_digits(n) + 10
-    with localcontext() as ctx:
-        ctx.prec = prec
-        c = _binary_log_constant(n, prec)
-        ll_value = (c - bitmask * Decimal(2).ln()) / n
-        ll = DecimalScore(
-            digits=_round_decimal_sig(ll_value, phi), phi=phi, kind=ScoreKind.LOGLOSS
-        )
+    ll = _rounded_ll(partial(_binary_log, n, bitmask), n, phi)
     ones = sum(labels.bits)
     if ones == 0 or ones == n:
         return ll, DecimalScore(digits="", phi=phi, kind=ScoreKind.AUC_NOT_DEFINED)
@@ -326,15 +300,14 @@ def build_multiclass_matrix(n: int, k: int) -> PredictionMatrix:
     return PredictionMatrix(tuple(rows))
 
 
-def decode_multiclass(score: ExactScore, n: int, k: int) -> ClassLabeling:
-    """Recover class labels from a multi-class exact score.
+def decode_multiclass(score: ExactScore, k: int) -> ClassLabeling:
+    """Recover class labels from a multi-class exact score over score.n points.
 
     The score equals prod(alpha_i) / M with M = prod p_i^(label_i - 1);
     M is isolated exactly, then factored over the first n primes.
     """
-    if score.n != n:
-        raise DecodeError(f"caller says n = {n} but the score carries n = {score.n}")
-    if n < 1 or k < 2:
+    n = score.n
+    if k < 2:  # ExactScore already holds n >= 1
         raise ValidationError("need n >= 1 and k >= 2")
     if n * k > MULTICLASS_MAX_CELLS:
         raise ValidationError(

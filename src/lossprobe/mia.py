@@ -7,10 +7,12 @@ answers: no model, no per-point predictions, no ground truth.  The
 attacks below submit one crafted prediction vector per batch and decode
 the hidden bits from the returned scores.
 
-Separation is structural.  Attacks operate on a ScoringView, a facade
-holding only the curator's two answer methods, so adversary code cannot
-reach the membership bits even by attribute poking.  Accuracy is always
-computed back on the curator's side.
+Separation is a convention.  Attacks are written against a ScoringView,
+a facade holding only the curator's answer methods, and touch nothing
+else.  The methods are bound, so `__self__` still leads back to the
+curator and its membership bits; the facade keeps honest code honest, it
+does not stop attribute poking.  Accuracy is always computed back on the
+curator's side.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def _recover_exact(view: ScoringView, n: int, mode: AttackMode) -> Labeling:
         return decode_twin_prime(view.exact_response(vector.entries))
     if mode is AttackMode.EXACT_BINARY:
         vector = build_binary_vector(n)
-        return decode_binary(view.exact_response(vector.entries), n)
+        return decode_binary(view.exact_response(vector.entries))
     raise ValidationError(f"{mode} is not an exact mode")
 
 

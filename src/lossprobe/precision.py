@@ -19,6 +19,7 @@ use it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -322,15 +323,10 @@ class AttackPlan:
 
 
 def _largest_binary_batch(phi: int) -> int:
-    best = 0
-    n = 1
-    while n <= BINARY_DECIMAL_MAX_N:
-        # required precision grows with n, so the first miss ends the scan
-        if required_precision_binary(n) > phi:
-            break
-        best = n
-        n += 1
-    return best
+    # required precision grows with n, so the batches that fit form a prefix
+    return bisect_right(
+        range(1, BINARY_DECIMAL_MAX_N + 1), phi, key=required_precision_binary
+    )
 
 
 def plan_batches(n: int, phi: int) -> AttackPlan:

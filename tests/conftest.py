@@ -8,6 +8,7 @@ package's integer pipelines against these.
 
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 import pytest
@@ -103,6 +104,47 @@ def mp_logloss_wire(entries, labels, phi: int, dps: int = 50) -> str:
 def binary_entries(n: int) -> list[Fraction]:
     """alpha/(1+alpha) with alpha = 2^(2^(i-1)), built independently."""
     return [Fraction(2 ** (2**i), 1 + 2 ** (2**i)) for i in range(n)]
+
+
+@cache
+def mp_binary_log_sums(n: int, dps: int) -> tuple:
+    """Prefix sums of ln(1 + 2^(2^(i-1))) for i = 1..n, one mpmath log per point.
+
+    Never forms the telescoped product 2^(2^n) - 1, so it checks the
+    package's closed form for C(n) rather than restating it.
+    """
+    with mp.workdps(dps):
+        sums, total = [], mp.mpf(0)
+        for i in range(n):
+            total += mp.log(1 + mp.mpf(2) ** (2**i))
+            sums.append(total)
+    return tuple(sums)
+
+
+def mp_required_precision_binary(n_max: int) -> list[int]:
+    """floor(log10(4 C(n) / ln 2)) + 2 for n = 1..n_max, from the per-point sums."""
+    with mp.workdps(40):
+        scale = 4 / mp.log(2)
+        return [
+            int(mp.floor(mp.log10(scale * c))) + 2 for c in mp_binary_log_sums(n_max, 40)
+        ]
+
+
+def mp_binary_logloss_wire(bits, phi: int) -> str:
+    """The binary construction's log loss, C(n) - N ln 2 over n, rounded to the wire.
+
+    N's bits are the labels, read little-endian.  The subtraction can
+    cancel every integer digit of C(n), so the sums carry those digits and
+    60 more, which leaves phi + 20 correct digits after it.
+    """
+    assert phi <= 30
+    n = len(bits)
+    exponent = sum(bit << i for i, bit in enumerate(bits))
+    dps = len(str(1 << n)) + 60
+    with mp.workdps(dps):
+        ll = (mp_binary_log_sums(n, dps)[-1] - exponent * mp.log(2)) / n
+        text = mp.nstr(ll, phi + 20)
+    return sig_wire(Decimal(text), phi)
 
 
 # strategies shared across modules

@@ -103,7 +103,7 @@ def test_criterion_03_binary_exponent_identities():
     forward = (
         score.value.numerator == 2**16 - 1 and score.value.denominator == 2**13
     )
-    back = decode_binary(ExactScore(value=F(2**32 - 1, 2**18), n=5), 5)
+    back = decode_binary(ExactScore(value=F(2**32 - 1, 2**18), n=5))
     ok = forward and back.bits == (0, 1, 0, 0, 1)
     record(
         3,
@@ -190,7 +190,7 @@ def test_criterion_07_roundtrip_campaign():
             binary_vectors[n] = build_binary_vector(n)
         bits = tuple(rng.randint(0, 1) for _ in range(n))
         vec = binary_vectors[n]
-        if decode_binary(exact_score(vec, Labeling(bits)), n).bits != bits:
+        if decode_binary(exact_score(vec, Labeling(bits))).bits != bits:
             mismatches += 1
 
     multiclass_cases = 0
@@ -206,7 +206,7 @@ def test_criterion_07_roundtrip_campaign():
                 score = exact_score_multiclass(
                     matrix, ClassLabeling(tuple(classes), k)
                 )
-                if decode_multiclass(score, n, k).classes != tuple(classes):
+                if decode_multiclass(score, k).classes != tuple(classes):
                     mismatches += 1
                 multiclass_cases += 1
 

@@ -39,7 +39,13 @@ from lossprobe.exact import (
 from lossprobe.precision import LOOKUP_MAX_BATCH, build_tuple_lookup
 from lossprobe.primes import twin_primes
 
-from conftest import binary_entries, mp_logloss_wire, naive_exact_score
+from conftest import (
+    binary_entries,
+    mp_binary_logloss_wire,
+    mp_logloss_wire,
+    mp_required_precision_binary,
+    naive_exact_score,
+)
 
 F = Fraction
 
@@ -217,7 +223,7 @@ def test_binary_score_exponent_example():
 
 def test_binary_decode_example():
     score = ExactScore(value=F(2**32 - 1, 2**18), n=5)
-    assert decode_binary(score, 5).bits == (0, 1, 0, 0, 1)
+    assert decode_binary(score).bits == (0, 1, 0, 0, 1)
 
 
 def test_binary_decode_n_inferred_from_numerator():
@@ -230,7 +236,7 @@ def test_binary_roundtrip(bits):
     vec = build_binary_vector(len(bits))
     score = exact_score(vec, Labeling(tuple(bits)))
     assert score.value == naive_exact_score(vec.entries, bits)
-    assert decode_binary(score, len(bits)).bits == tuple(bits)
+    assert decode_binary(score).bits == tuple(bits)
     # numerator telescopes regardless of the labeling
     assert score.value.numerator == 2 ** (2 ** len(bits)) - 1
 
@@ -239,14 +245,14 @@ def test_binary_max_n_roundtrip():
     n = BINARY_MAX_N
     bits = tuple((i * i + 1) % 2 for i in range(n))
     score = exact_score(build_binary_vector(n), Labeling(bits))
-    assert decode_binary(score, n).bits == bits
+    assert decode_binary(score).bits == bits
 
 
 def test_binary_decode_rejects_wrong_numerator():
     with pytest.raises(DecodeError):
-        decode_binary(ExactScore(value=F(2**16 - 2, 2**13), n=4), 4)
+        decode_binary(ExactScore(value=F(2**16 - 2, 2**13), n=4))
     with pytest.raises(DecodeError):
-        decode_binary(ExactScore(value=F((2**16 - 1) * 3, 2**13), n=4), 4)
+        decode_binary(ExactScore(value=F((2**16 - 1) * 3, 2**13), n=4))
     with pytest.raises(DecodeError):
         # right bit length, one zero bit, at a size past 2^26 bits
         decode_binary(ExactScore(coprime_fraction((1 << (1 << 27)) - 3, 1 << 5), 27))
@@ -254,13 +260,13 @@ def test_binary_decode_rejects_wrong_numerator():
 
 def test_binary_decode_rejects_odd_denominator():
     with pytest.raises(DecodeError):
-        decode_binary(ExactScore(value=F(2**16 - 1, 3 * 2**10), n=4), 4)
+        decode_binary(ExactScore(value=F(2**16 - 1, 3 * 2**10), n=4))
 
 
 def test_binary_decode_rejects_out_of_range_exponent():
     # denominator exponent must stay below 2^n
     with pytest.raises(DecodeError):
-        decode_binary(ExactScore(value=F(2**16 - 1, 2**16), n=4), 4)
+        decode_binary(ExactScore(value=F(2**16 - 1, 2**16), n=4))
 
 
 def test_binary_denominator_tampering_is_silent_by_design():
@@ -269,7 +275,7 @@ def test_binary_denominator_tampering_is_silent_by_design():
     vec = build_binary_vector(4)
     score = exact_score(vec, Labeling((1, 0, 1, 1)))
     shifted = ExactScore(value=score.value / 2, n=4)
-    assert decode_binary(shifted, 4).bits == (0, 1, 1, 1)
+    assert decode_binary(shifted).bits == (0, 1, 1, 1)
 
 
 def test_binary_limit_enforced():
@@ -284,13 +290,20 @@ def test_binary_limit_enforced():
     "n,expected",
     [
         (1, 2), (3, 3), (5, 4), (8, 5), (64, 21),
-        # either side of the switch to the log-space estimate at n = 40
+        # 4 * 2^n passes 10^13 between n = 41 and 42
         (39, 14), (40, 14), (41, 14), (42, 15),
         (100, 32), (BINARY_DECIMAL_MAX_N, 1235),
     ],
 )
 def test_required_precision_values(n, expected):
     assert required_precision_binary(n) == expected
+
+
+def test_required_precision_matches_per_point_sums():
+    # every n of the decimal route, against C(n) summed one point at a time
+    reference = mp_required_precision_binary(BINARY_DECIMAL_MAX_N)
+    sizes = range(1, BINARY_DECIMAL_MAX_N + 1)
+    assert [required_precision_binary(n) for n in sizes] == reference
 
 
 def test_required_precision_monotone():
@@ -308,7 +321,7 @@ def test_binary_decimal_roundtrip_small(n, data):
     assert decode_binary_from_decimal(ll, n).bits == tuple(bits)
 
 
-@pytest.mark.parametrize("n", [44, 100, 500])
+@pytest.mark.parametrize("n", [44, 100, 500, BINARY_DECIMAL_MAX_N])
 def test_binary_decimal_roundtrip_large(n):
     phi = required_precision_binary(n)
     bits = tuple((i * 13 + 5) % 7 % 2 for i in range(n))
@@ -327,6 +340,23 @@ def test_binary_decimal_closed_form_matches_entries_path():
                 assert ll == logloss_decimal(vec, Labeling(bits), phi)
                 assert ll.wire() == mp_logloss_wire(entries, bits, phi)
                 assert auc_score.phi == phi
+
+
+_LABELINGS = {
+    "zeros": lambda n: (0,) * n,
+    "ones": lambda n: (1,) * n,
+    "alternating": lambda n: tuple(i % 2 for i in range(n)),
+    "seeded": lambda n: tuple(random.Random(n).randint(0, 1) for _ in range(n)),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(_LABELINGS))
+@pytest.mark.parametrize("n", [12, 64, 500, BINARY_DECIMAL_MAX_N])
+def test_binary_decimal_response_matches_per_point_sums(n, pattern):
+    bits = _LABELINGS[pattern](n)
+    for phi in (1, 3, 6, 12):
+        ll, _ = binary_decimal_response(Labeling(bits), phi)
+        assert ll.wire() == mp_binary_logloss_wire(bits, phi)
 
 
 def test_binary_decimal_ambiguous_digits_detected():
@@ -355,10 +385,10 @@ def test_multiclass_known_scores():
     m = build_multiclass_matrix(2, 3)
     score = exact_score_multiclass(m, ClassLabeling((2, 3), 3))
     assert score.value == F(91, 18)
-    assert decode_multiclass(score, 2, 3).classes == (2, 3)
+    assert decode_multiclass(score, 3).classes == (2, 3)
     ones = exact_score_multiclass(m, ClassLabeling((1, 1), 3))
     assert ones.value == F(91, 1)
-    assert decode_multiclass(ones, 2, 3).classes == (1, 1)
+    assert decode_multiclass(ones, 3).classes == (1, 1)
 
 
 def test_multiclass_roundtrip_exhaustive_small():
@@ -373,28 +403,28 @@ def test_multiclass_roundtrip_exhaustive_small():
                 value //= k
             score = exact_score_multiclass(m, ClassLabeling(tuple(classes), k))
             seen.add(score.value)
-            assert decode_multiclass(score, n, k).classes == tuple(classes)
+            assert decode_multiclass(score, k).classes == tuple(classes)
         assert len(seen) == k**n  # injective over all labelings
 
 
 def test_multiclass_tamper_rejected():
     with pytest.raises(DecodeError):
-        decode_multiclass(ExactScore(value=F(92, 18), n=2), 2, 3)
+        decode_multiclass(ExactScore(value=F(92, 18), n=2), 3)
     with pytest.raises(DecodeError):
-        decode_multiclass(ExactScore(value=F(91 * 5, 18), n=2), 2, 3)
+        decode_multiclass(ExactScore(value=F(91 * 5, 18), n=2), 3)
     with pytest.raises(DecodeError):
         # denominator exponent 4 exceeds the k - 1 = 2 a label can produce
-        decode_multiclass(ExactScore(value=F(91, 48), n=2), 2, 3)
+        decode_multiclass(ExactScore(value=F(91, 48), n=2), 3)
     with pytest.raises(DecodeError, match="foreign factor"):
         # a foreign factor wider than the int-to-str cap
-        decode_multiclass(ExactScore(value=F(91, 18 * 13**5000), n=2), 2, 3)
+        decode_multiclass(ExactScore(value=F(91, 18 * 13**5000), n=2), 3)
 
 
 def test_multiclass_all_denominators_are_codewords():
     # reduced denominators enumerate exponent vectors with entries < k,
     # so unlike the twin construction small-prime tampering can land on
     # a valid codeword; 91/12 is honestly (3, 2)
-    assert decode_multiclass(ExactScore(value=F(91, 12), n=2), 2, 3).classes == (3, 2)
+    assert decode_multiclass(ExactScore(value=F(91, 12), n=2), 3).classes == (3, 2)
 
 
 def test_multiclass_cell_limit():
@@ -441,9 +471,7 @@ def test_multiclass_cell_limit():
             id="multiclass-matrix",
         ),
         pytest.param(
-            lambda: decode_multiclass(
-                ExactScore(value=F(1), n=1), 1, MULTICLASS_MAX_CELLS + 1
-            ),
+            lambda: decode_multiclass(ExactScore(value=F(1), n=1), MULTICLASS_MAX_CELLS + 1),
             "multi-class construction capped at n \\* k = 10000",
             id="multiclass-decode",
         ),

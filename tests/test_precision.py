@@ -20,6 +20,7 @@ from lossprobe.errors import (
     LookupBuildError,
     ValidationError,
 )
+from lossprobe.exact import BINARY_DECIMAL_MAX_N
 from lossprobe.mia import MembershipVector, curator_oracle
 from lossprobe.precision import (
     batched_inference,
@@ -35,6 +36,7 @@ from lossprobe.precision import (
 from conftest import (
     fraction_sig_wire,
     mp_logloss_wire,
+    mp_required_precision_binary,
     naive_auc,
 )
 
@@ -350,6 +352,19 @@ def test_plan_partition_property():
         assert covered == list(range(n))
         assert plan.planned_queries == len(plan.batches)
         assert plan.planned_queries == -(-n // plan.batch_size)
+
+
+def test_plan_binary_batch_matches_a_linear_scan():
+    # phi 4-1300 has no curated vector and reaches the 4096-point cap at 1235
+    reference = mp_required_precision_binary(BINARY_DECIMAL_MAX_N)
+    for phi in range(4, 1301):
+        best = 0
+        for n, need in enumerate(reference, 1):
+            if need > phi:
+                break
+            best = n
+        plan = plan_batches(10, phi)
+        assert (plan.method, plan.batch_size) == ("binary-decimal", best)
 
 
 @given(st.integers(1, 6), st.integers(1, 400))
