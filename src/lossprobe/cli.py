@@ -11,6 +11,10 @@ A vector document either lists its entries or names a construction, e.g.
 queries possible at all: entry i of that construction is a 2^(i-1)-bit
 integer, so shipping entries stops being an option long before the
 closed-form scoring on the serving side breaks a sweat.
+
+There is one request path: `score` and `oracle-serve` turn a document into
+a query, its parsed vector or its construction name, and answer it through
+`mia.respond`, which looks names up in `exact`'s construction table.
 """
 
 from __future__ import annotations
@@ -32,34 +36,26 @@ from .core import (
     PredictionMatrix,
     PredictionVector,
     ScoreKind,
-    auc,
-    exact_score,
     exact_score_multiclass,
     format_rational,
-    logloss_decimal,
     parse_decimal_score,
     parse_rational,
 )
 from .errors import LossProbeError, OracleProtocolError, ValidationError
 from .exact import (
-    binary_decimal_response,
-    build_binary_vector,
+    _CONSTRUCTIONS,
     build_multiclass_matrix,
-    build_twin_prime_vector,
-    decode_binary,
     decode_multiclass,
-    decode_twin_prime,
     decode_twin_prime_value,
 )
 from .mia import (
     AttackMode,
     AttackReport,
-    CandidateSet,
     CuratorOracle,
     MembershipVector,
+    _attack,
     _sub_labels,
-    fixed_precision_attack,
-    one_query_attack,
+    respond,
     run_demo,
 )
 from .precision import min_digits_for_separation, plan_batches
@@ -123,15 +119,6 @@ def _doc_size(doc: dict) -> int:
     return n
 
 
-def _named_vector(doc: dict, size: int) -> PredictionVector:
-    kind = doc.get("kind")
-    if kind == "twin":
-        return build_twin_prime_vector(size)
-    if kind == "binary":
-        return build_binary_vector(size)
-    raise ValidationError(f"cannot build entries for kind {kind!r}")
-
-
 # ---------------------------------------------------------------- build
 
 
@@ -150,16 +137,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
         return 0
     if args.k is not None:
         raise ValidationError("--k only applies to multiclass vectors")
-    if args.kind == "twin":
-        vec = build_twin_prime_vector(args.n)
-    else:
-        if args.n > BINARY_WIRE_MAX_N:
-            raise ValidationError(
-                f"binary entries past n = {BINARY_WIRE_MAX_N} are "
-                'walls of digits; score the construction by name instead: '
-                '{"kind":"binary","n":...}'
-            )
-        vec = build_binary_vector(args.n)
+    if args.kind == "binary" and args.n > BINARY_WIRE_MAX_N:
+        raise ValidationError(
+            f"binary entries past n = {BINARY_WIRE_MAX_N} are "
+            'walls of digits; score the construction by name instead: '
+            '{"kind":"binary","n":...}'
+        )
+    vec = _CONSTRUCTIONS[args.kind].build(args.n)
     doc = {
         "kind": args.kind,
         "n": args.n,
@@ -173,32 +157,30 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _respond(
-    doc: dict, labels: Labeling, mode: str, phi: int | None
+    doc: dict, labels: Labeling, phi: int | None
 ) -> ExactScore | tuple[DecimalScore, DecimalScore]:
-    """Score a vector document against labels: the one request path.
+    """Turn a vector document into a query and answer it through `respond`.
 
-    `score` and `oracle-serve` both answer through here.  A named binary
-    document is answered in closed form in decimal mode and stops at the
-    wire cap in exact mode; any other document is built and scored.
+    `score` and `oracle-serve` both answer through here.  A document that
+    lists entries is parsed once, here; a named one goes to the
+    construction table, except that an exact named binary answer stops at
+    the wire cap.
     """
     size = _doc_size(doc)
     if len(labels) != size:
         raise ValidationError(f"vector has {size} entries but labels carry {len(labels)}")
-    by_name = "entries" not in doc
-    binary = by_name and doc.get("kind") == "binary"
-    if mode == "decimal" and binary:
-        return binary_decimal_response(labels, phi)
-    if binary and size > BINARY_WIRE_MAX_N:
-        raise ValidationError(
-            f"exact binary responses are capped at n = {BINARY_WIRE_MAX_N} on the wire; "
-            "use decimal mode"
-        )
-    vec = _named_vector(doc, size) if by_name else _entries_vector(doc)
-    if not isinstance(vec, PredictionVector):
-        raise ValidationError("the membership oracle scores binary labelings only")
-    if mode == "exact":
-        return exact_score(vec, labels)
-    return logloss_decimal(vec, labels, phi), auc(vec, labels, phi)
+    if "entries" in doc:
+        query = _entries_vector(doc)
+        if not isinstance(query, PredictionVector):
+            raise ValidationError("the membership oracle scores binary labelings only")
+    else:
+        query = doc.get("kind")
+        if query == "binary" and phi is None and size > BINARY_WIRE_MAX_N:
+            raise ValidationError(
+                f"exact binary responses are capped at n = {BINARY_WIRE_MAX_N} on the wire; "
+                "use decimal mode"
+            )
+    return respond(query, labels, phi)
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
@@ -215,7 +197,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             raise ValidationError("multiclass document needs a matrix of entries")
         response = exact_score_multiclass(matrix, labels)
     else:
-        response = _respond(doc, Labeling.from_string(args.labels), args.mode, args.phi)
+        response = _respond(doc, Labeling.from_string(args.labels), args.phi)
     if isinstance(response, ExactScore):
         _emit({"escore": format_rational(response.value), "n": response.n}, args.out)
     else:
@@ -254,30 +236,24 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if n is None:
         n = doc_n
 
-    if args.kind == "twin":
-        if n is None:
-            labeling = decode_twin_prime_value(value)
-        else:
-            labeling = decode_twin_prime(ExactScore(value=value, n=n))
-        print(labeling.to_string())
-        return 0
-    if n is None:
+    if args.kind == "twin" and n is None:
+        labeling = decode_twin_prime_value(value)
+    elif n is None:
         raise ValidationError(f"decoding a {args.kind} score needs n")
-    if args.kind == "binary":
-        labeling = decode_binary(ExactScore(value=value, n=n))
-        print(labeling.to_string())
-        return 0
-    if args.k is None:
-        raise ValidationError("decoding a multiclass score needs --k")
-    classes = decode_multiclass(ExactScore(value=value, n=n), args.k)
-    print(classes.to_string())
+    elif args.kind == "multiclass":
+        if args.k is None:
+            raise ValidationError("decoding a multiclass score needs --k")
+        labeling = decode_multiclass(ExactScore(value=value, n=n), args.k)
+    else:
+        labeling = _CONSTRUCTIONS[args.kind].decode(ExactScore(value=value, n=n))
+    print(labeling.to_string())
     return 0
 
 
 # ---------------------------------------------------------------- serve
 
 
-def _serve_one(hidden: Labeling, doc_text: str, mode: str, phi: int | None) -> str:
+def _serve_one(hidden: Labeling, doc_text: str, phi: int | None) -> str:
     doc = _parse_doc(doc_text)
     indices = doc.get("indices")
     # type(), not isinstance: JSON true must not pass as index 1
@@ -286,7 +262,7 @@ def _serve_one(hidden: Labeling, doc_text: str, mode: str, phi: int | None) -> s
     ):
         raise ValidationError("indices must be a list of integers")
     labels = _sub_labels(hidden, _doc_size(doc), indices)
-    response = _respond(doc, labels, mode, phi)
+    response = _respond(doc, labels, phi)
     if isinstance(response, ExactScore):
         return "ESCORE " + format_rational(response.value)
     ll, auc_score = response
@@ -305,7 +281,7 @@ def _cmd_oracle_serve(args: argparse.Namespace) -> int:
             print("ERR unknown command", flush=True)
             continue
         try:
-            response = _serve_one(hidden, line[6:], args.mode, args.phi)
+            response = _serve_one(hidden, line[6:], args.phi)
         except LossProbeError as e:
             response = "ERR " + " ".join(str(e).split())
         print(response, flush=True)
@@ -318,9 +294,10 @@ def _cmd_oracle_serve(args: argparse.Namespace) -> int:
 class _RemoteCurator(CuratorOracle):
     """A curator whose answers come from an `oracle-serve` process.
 
-    The three answer methods serialize each request onto the pipe; the
-    hidden bits stay here, on the curator's side of the process boundary,
-    for after-the-fact grading.
+    Only the transport differs from the in-process curator: _answer
+    serializes each query onto the pipe and parses the reply.  The hidden
+    bits stay here, on the curator's side of the process boundary, for
+    after-the-fact grading.
     """
 
     def __init__(self, proc: subprocess.Popen, hidden: MembershipVector, phi: int | None):
@@ -328,8 +305,16 @@ class _RemoteCurator(CuratorOracle):
         self._proc = proc
         self._phi = phi
 
-    def _ask(self, doc: dict, indices) -> str:
+    def _answer(self, query, n, indices, phi):
         assert self._proc.stdin is not None and self._proc.stdout is not None
+        if phi is not None and phi != self._phi:
+            raise OracleProtocolError(
+                f"oracle serves {self._phi} significant digits, not {phi}"
+            )
+        if isinstance(query, str):
+            doc: dict = {"kind": query, "n": n}
+        else:
+            doc = {"entries": [format_rational(Fraction(e)) for e in query]}
         if indices is not None:
             doc["indices"] = list(indices)
         self._proc.stdin.write("SCORE " + _dump(doc) + "\n")
@@ -341,14 +326,10 @@ class _RemoteCurator(CuratorOracle):
         line = line.rstrip("\n")
         if line.startswith("ERR"):
             raise OracleProtocolError(line[4:] or "unspecified oracle error")
-        return line
-
-    def _decimal_pair(self, doc: dict, phi: int, indices):
-        if phi != self._phi:
-            raise OracleProtocolError(
-                f"oracle serves {self._phi} significant digits, not {phi}"
-            )
-        line = self._ask(doc, indices)
+        if phi is None:
+            if not line.startswith("ESCORE "):
+                raise OracleProtocolError(f"expected ESCORE, got {line!r}")
+            return ExactScore(value=parse_rational(line[7:]), n=n)
         parts = line.split(" ")
         if len(parts) != 4 or parts[0] != "LL" or parts[2] != "AUC":
             raise OracleProtocolError(f"malformed decimal response: {line!r}")
@@ -357,54 +338,22 @@ class _RemoteCurator(CuratorOracle):
             parse_decimal_score(parts[3], phi, ScoreKind.AUC),
         )
 
-    def exact_response(self, entries, indices=None) -> ExactScore:
-        line = self._ask(_entries_doc(entries), indices)
-        if not line.startswith("ESCORE "):
-            raise OracleProtocolError(f"expected ESCORE, got {line!r}")
-        return ExactScore(value=parse_rational(line[7:]), n=len(entries))
-
-    def decimal_scores(self, entries, phi, indices=None):
-        return self._decimal_pair(_entries_doc(entries), phi, indices)
-
-    def decimal_scores_for_binary(self, n, phi, indices=None):
-        return self._decimal_pair({"kind": "binary", "n": n}, phi, indices)
-
-
-def _entries_doc(entries) -> dict:
-    return {"entries": [format_rational(Fraction(e)) for e in entries]}
-
 
 def _subprocess_demo(
     n: int, mode: AttackMode, seed: int, phi: int | None
 ) -> AttackReport:
+    """run_demo's attack, against a curator served by `oracle-serve`."""
     hidden = MembershipVector.random(n, seed)
-    fixed = mode is AttackMode.FIXED_PRECISION
     with tempfile.NamedTemporaryFile("w", suffix=".labels", delete=False) as handle:
         handle.write(hidden.bits.to_string() + "\n")
         labels_path = handle.name
-    cmd = [
-        sys.executable,
-        "-m",
-        "lossprobe",
-        "oracle-serve",
-        "--labels",
-        labels_path,
-        "--mode",
-        "decimal" if fixed else "exact",
-    ]
-    if fixed:
-        cmd += ["--phi", str(phi)]
+    cmd = [sys.executable, "-m", "lossprobe", "oracle-serve", "--labels", labels_path]
+    cmd += ["--mode", "exact"] if phi is None else ["--mode", "decimal", "--phi", str(phi)]
     proc = subprocess.Popen(
         cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
     )
     try:
-        curator = _RemoteCurator(proc, hidden, phi if fixed else None)
-        candidates = CandidateSet.numbered(n)
-        if fixed:
-            assert phi is not None
-            report = fixed_precision_attack(candidates, curator, phi)
-        else:
-            report = one_query_attack(candidates, curator, mode)
+        report = _attack(_RemoteCurator(proc, hidden, phi), n, mode, phi)
     finally:
         try:
             if proc.stdin is not None:

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate
+from typing import Callable, NamedTuple
 
 from .core import (
     ClassLabeling,
@@ -205,19 +206,20 @@ def required_precision_binary(n: int) -> int:
     return len(str(4 << n)) + 1
 
 
-def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
+def _binary_log(n: int, exponent: int, digits: int, ln2: Decimal | None = None) -> Decimal:
     """ln((2^(2^n) - 1) / 2^exponent), n LL of the binary construction, to digits.
 
     The entries' denominators telescope, prod (1 + 2^(2^(i-1))) = 2^(2^n) - 1,
     so the value is (2^n - exponent) ln 2 + ln(1 - 2^-2^n).  The first term
     is at least ln 2 and the second at least ln(3/4), so nothing cancels and
     the working precision does not grow with n; past 4 * digits + 40 bits
-    the second term is below every digit kept.
+    the second term is below every digit kept.  A caller that needs ln 2
+    itself passes it in, to at least digits + 10 digits.
     """
     with localcontext() as ctx:
         ctx.prec = digits + 10
         width = 1 << n
-        value = (width - exponent) * Decimal(2).ln()
+        value = (width - exponent) * (Decimal(2).ln() if ln2 is None else ln2)
         if width <= 4 * digits + 40:
             value += (1 - Decimal(2) ** -width).ln()
         return value
@@ -237,9 +239,11 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
     prec = len(str(1 << n)) + max(ll.phi, 20) + 10
     with localcontext() as ctx:
+        ctx.prec = prec + 10
+        ln2 = Decimal(2).ln()  # superlinear in prec: evaluated once per call
         ctx.prec = prec
-        c = _binary_log(n, 0, prec)
-        estimate = (c - n * Decimal(ll.digits)) / Decimal(2).ln()
+        c = _binary_log(n, 0, prec, ln2)
+        estimate = (c - n * Decimal(ll.digits)) / ln2
         nearest = int(estimate.to_integral_value())
         residual = abs(estimate - nearest)
         if residual > Decimal("0.25"):
@@ -278,6 +282,22 @@ def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, D
     return ll, DecimalScore(
         digits=round_fraction_sig(auc_value, phi), phi=phi, kind=ScoreKind.AUC
     )
+
+
+class _Construction(NamedTuple):
+    """A served construction: its builder, its exact decoder and, where a
+    closed form exists, its rounded (LL, AUC) answer."""
+
+    build: Callable[[int], PredictionVector]
+    decode: Callable[[ExactScore], Labeling]
+    rounded: Callable[[Labeling, int], tuple[DecimalScore, DecimalScore]] | None
+
+
+# the one name -> construction table behind named queries, attacks and the CLI
+_CONSTRUCTIONS = {
+    "twin": _Construction(build_twin_prime_vector, decode_twin_prime, None),
+    "binary": _Construction(build_binary_vector, decode_binary, binary_decimal_response),
+}
 
 
 def build_multiclass_matrix(n: int, k: int) -> PredictionMatrix:

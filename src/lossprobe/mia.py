@@ -13,6 +13,11 @@ else.  The methods are bound, so `__self__` still leads back to the
 curator and its membership bits; the facade keeps honest code honest, it
 does not stop attribute poking.  Accuracy is always computed back on the
 curator's side.
+
+Every curator scores through one function, `respond`: the in-process
+CuratorOracle and the `score` and `oracle-serve` commands alike.  A
+served curator differs only in transport; it overrides the one method
+that answers a query.
 """
 
 from __future__ import annotations
@@ -33,13 +38,7 @@ from .core import (
     logloss_decimal,
 )
 from .errors import ValidationError
-from .exact import (
-    binary_decimal_response,
-    build_binary_vector,
-    build_twin_prime_vector,
-    decode_binary,
-    decode_twin_prime,
-)
+from .exact import _CONSTRUCTIONS
 from .precision import AttackPlan, batched_inference
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
     "one_query_attack",
     "fixed_precision_attack",
     "perturb_prime",
+    "respond",
     "run_demo",
 ]
 
@@ -153,11 +153,34 @@ def _sub_labels(hidden: Labeling, count: int, indices: Sequence[int] | None) -> 
     return Labeling(tuple(bits[i] for i in indices))
 
 
+def respond(
+    query: PredictionVector | str, labels: Labeling, phi: int | None
+) -> ExactScore | tuple[DecimalScore, DecimalScore]:
+    """The curator's answer to one query: the exact score when phi is None,
+    else (LL, AUC) rounded to phi significant digits.
+
+    query is a built prediction vector or the name of a construction,
+    which is built at len(labels) points unless it has a closed-form
+    rounded answer.
+    """
+    if not isinstance(query, PredictionVector):
+        construction = _CONSTRUCTIONS.get(query) if isinstance(query, str) else None
+        if construction is None:
+            raise ValidationError(f"cannot build entries for kind {query!r}")
+        if phi is not None and construction.rounded is not None:
+            return construction.rounded(labels, phi)
+        query = construction.build(len(labels))
+    if phi is None:
+        return exact_score(query, labels)
+    return logloss_decimal(query, labels, phi), auc(query, labels, phi)
+
+
 class CuratorOracle:
     """Holds the hidden membership bits and reports scores truthfully.
 
     Queries may target the whole candidate set or, via indices, any
-    subset; the predictions then line up with the chosen positions.
+    subset; the predictions then line up with the chosen positions.  The
+    three answer methods are adapters onto _answer.
     """
 
     def __init__(self, hidden: MembershipVector):
@@ -168,12 +191,24 @@ class CuratorOracle:
     def queries_used(self) -> int:
         return self._queries
 
+    def _answer(
+        self,
+        query: Sequence[Fraction] | str,
+        n: int,
+        indices: Sequence[int] | None,
+        phi: int | None,
+    ) -> ExactScore | tuple[DecimalScore, DecimalScore]:
+        """Answer a query of n entries, or a construction named at n points."""
+        labels = _sub_labels(self.__hidden.bits, n, indices)
+        self._queries += 1
+        if not isinstance(query, str):
+            query = PredictionVector(tuple(map(Fraction, query)))
+        return respond(query, labels, phi)
+
     def exact_response(
         self, entries: Sequence[Fraction], indices: Sequence[int] | None = None
     ) -> ExactScore:
-        labels = _sub_labels(self.__hidden.bits, len(entries), indices)
-        self._queries += 1
-        return exact_score(PredictionVector(tuple(map(Fraction, entries))), labels)
+        return self._answer(entries, len(entries), indices, None)
 
     def decimal_scores(
         self,
@@ -181,17 +216,12 @@ class CuratorOracle:
         phi: int,
         indices: Sequence[int] | None = None,
     ) -> tuple[DecimalScore, DecimalScore]:
-        labels = _sub_labels(self.__hidden.bits, len(entries), indices)
-        vec = PredictionVector(tuple(map(Fraction, entries)))
-        self._queries += 1
-        return logloss_decimal(vec, labels, phi), auc(vec, labels, phi)
+        return self._answer(entries, len(entries), indices, phi)
 
     def decimal_scores_for_binary(
         self, n: int, phi: int, indices: Sequence[int] | None = None
     ) -> tuple[DecimalScore, DecimalScore]:
-        labels = _sub_labels(self.__hidden.bits, n, indices)
-        self._queries += 1
-        return binary_decimal_response(labels, phi)
+        return self._answer("binary", n, indices, phi)
 
     def assess(self, claimed: MembershipVector) -> Fraction:
         """Curator-side accuracy of a claimed membership vector."""
@@ -214,13 +244,10 @@ def curator_oracle(hidden: MembershipVector) -> CuratorOracle:
 
 def _recover_exact(view: ScoringView, n: int, mode: AttackMode) -> Labeling:
     """Adversary side of the exact modes: one query, then decode."""
-    if mode is AttackMode.EXACT_TWIN:
-        vector = build_twin_prime_vector(n)
-        return decode_twin_prime(view.exact_response(vector.entries))
-    if mode is AttackMode.EXACT_BINARY:
-        vector = build_binary_vector(n)
-        return decode_binary(view.exact_response(vector.entries))
-    raise ValidationError(f"{mode} is not an exact mode")
+    construction = _CONSTRUCTIONS.get(mode.value)
+    if construction is None:
+        raise ValidationError(f"{mode} is not an exact mode")
+    return construction.decode(view.exact_response(construction.build(n).entries))
 
 
 def one_query_attack(
@@ -275,15 +302,18 @@ def perturb_prime(score: ExactScore, prime: int, delta: int) -> ExactScore:
     return ExactScore(value=score.value * Fraction(prime) ** delta, n=score.n)
 
 
-def run_demo(
-    n: int, mode: AttackMode, seed: int, phi: int | None = None
-) -> AttackReport:
-    """Self-contained attack demonstration with a seeded hidden vector."""
-    hidden = MembershipVector.random(n, seed)
-    oracle = curator_oracle(hidden)
+def _attack(oracle: Curator, n: int, mode: AttackMode, phi: int | None) -> AttackReport:
+    """The attack of the given mode against any curator, local or served."""
     candidates = CandidateSet.numbered(n)
     if mode is AttackMode.FIXED_PRECISION:
         return fixed_precision_attack(candidates, oracle, 2 if phi is None else phi)
     if phi is not None:
         raise ValidationError("significant digits only apply to fixed-precision mode")
     return one_query_attack(candidates, oracle, mode)
+
+
+def run_demo(
+    n: int, mode: AttackMode, seed: int, phi: int | None = None
+) -> AttackReport:
+    """Self-contained attack demonstration with a seeded hidden vector."""
+    return _attack(curator_oracle(MembershipVector.random(n, seed)), n, mode, phi)

@@ -294,7 +294,8 @@ def test_criterion_09_cli_demo_blind_and_deterministic():
         ok,
         "attack-demo --n 50 --mode twin: accuracy 1.0 in 1 query across a "
         "process boundary, byte-identical under the default seed, and the "
-        "scoring view carries no membership state",
+        "scoring view holds only the three answer methods, no mangled hidden "
+        "attribute (its bound methods still reach the curator)",
     )
 
 

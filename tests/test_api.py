@@ -78,13 +78,14 @@ def _referenced_names(path: Path) -> set[str]:
     """Names a file loads or reads as attributes, outside their own def/class."""
     found = set()
     for stmt in ast.parse(path.read_text()).body:
-        own = getattr(stmt, "name", None)  # a top-level def or class
+        names = set()
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
-                found.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-        found.discard(own)
+                names.add(node.attr)
+        names.discard(getattr(stmt, "name", None))  # a top-level def or class
+        found |= names
     return found
 
 
@@ -94,3 +95,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     sources += (ROOT / "bench").glob("*.py")
     used = set().union(*map(_referenced_names, sources))
     assert [name for name in lossprobe.__all__ if name not in used] == []
+
+
+def test_every_private_helper_has_a_caller_outside_its_definition():
+    package = ROOT / "src" / "lossprobe"
+    used = set().union(
+        *map(_referenced_names, [*package.glob("*.py"), *(ROOT / "bench").glob("*.py")])
+    )
+    helpers = [
+        stmt.name
+        for path in sorted(package.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+    ]
+    assert helpers  # the walk sees the package
+    assert [name for name in helpers if name not in used] == []

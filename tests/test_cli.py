@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,9 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lossprobe.cli import main
-from lossprobe.core import Labeling, parse_rational
-from lossprobe.exact import binary_decimal_response
+from lossprobe.cli import _RemoteCurator, _serve_one, main
+from lossprobe.core import ExactScore, Labeling, format_rational, parse_rational
+from lossprobe.errors import OracleProtocolError
+from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
+from lossprobe.mia import CuratorOracle, MembershipVector
 
 
 def run_cli(capsys, *args, stdin_text=None):
@@ -510,6 +513,107 @@ def test_serve_answers_every_line(hidden_16, lines, mode):
     assert (code, err) == (0, "")
     assert out.count("\n") == len(asked)
     assert out == "" or out.endswith("\n")
+
+
+# the remote curator's side of the protocol, against a scripted stream
+
+
+class ScriptedServer:
+    """Stands in for an `oracle-serve` process: replies are canned, requests kept."""
+
+    def __init__(self, replies: str):
+        self.stdin = io.StringIO()
+        self.stdout = io.StringIO(replies)
+
+
+def remote_curator(replies, phi=None):
+    server = ScriptedServer(replies)
+    hidden = MembershipVector(Labeling.from_string("0110"))
+    return _RemoteCurator(server, hidden, phi), server
+
+
+def test_remote_curator_raises_the_oracles_reason():
+    curator, _ = remote_curator("ERR length\n")
+    with pytest.raises(OracleProtocolError, match="^length$"):
+        curator.exact_response([Fraction(5, 7)])
+
+
+def test_remote_curator_raises_on_end_of_stream():
+    curator, _ = remote_curator("")
+    with pytest.raises(OracleProtocolError, match="oracle closed the stream mid-session"):
+        curator.exact_response([Fraction(5, 7)])
+
+
+def test_remote_curator_rejects_a_decimal_reply_to_an_exact_query():
+    curator, _ = remote_curator("LL 4.1e-1 AUC 1.0e0\n")
+    with pytest.raises(OracleProtocolError):
+        curator.exact_response([Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)])
+
+
+def test_remote_curator_rejects_a_three_part_decimal_reply():
+    curator, _ = remote_curator("LL 4.1e-1 AUC\n", phi=2)
+    with pytest.raises(OracleProtocolError, match="malformed decimal response"):
+        curator.decimal_scores([Fraction(1, 5), Fraction(2, 5)], 2)
+
+
+def test_remote_curator_refuses_digits_the_server_does_not_serve():
+    curator, server = remote_curator("LL 4.1e-1 AUC 1.0e0\n", phi=2)
+    with pytest.raises(OracleProtocolError, match="serves 2 significant digits, not 3"):
+        curator.decimal_scores([Fraction(1, 5), Fraction(2, 5)], 3)
+    assert server.stdin.getvalue() == ""
+    assert curator.queries_used == 0
+
+
+def test_remote_curator_request_bytes():
+    curator, server = remote_curator("ESCORE 91/10\n")
+    score = curator.exact_response([Fraction(5, 7), Fraction(11, 13)], indices=(3, 0))
+    assert server.stdin.getvalue() == 'SCORE {"entries":["5/7","11/13"],"indices":[3,0]}\n'
+    assert score == ExactScore(value=Fraction(91, 10), n=2)
+
+    ll, auc_score = binary_decimal_response(Labeling((1, 0)), 2)
+    curator, server = remote_curator(f"LL {ll.wire()} AUC {auc_score.wire()}\n", phi=2)
+    assert curator.decimal_scores_for_binary(2, 2, indices=[2, 0]) == (ll, auc_score)
+    assert server.stdin.getvalue() == 'SCORE {"indices":[2,0],"kind":"binary","n":2}\n'
+
+
+def test_remote_curator_counts_every_request_sent():
+    curator, server = remote_curator("ESCORE 7/2\nERR length\n")
+    curator.exact_response([Fraction(5, 7)], indices=[0])
+    with pytest.raises(OracleProtocolError):
+        curator.exact_response([Fraction(5, 7)], indices=[1])
+    assert curator.queries_used == 2
+    assert server.stdin.getvalue().count("\n") == 2
+
+
+# one path: the in-process curator's answer is the served line
+
+
+def wire_line(response):
+    if isinstance(response, ExactScore):
+        return "ESCORE " + format_rational(response.value)
+    ll, auc_score = response
+    return f"LL {ll.wire()} AUC {auc_score.wire()}"
+
+
+@pytest.mark.parametrize("phi", [None, 1, 2, 3, 4])
+def test_local_and_served_answers_agree(phi):
+    hidden = Labeling.from_string(HIDDEN_16)
+    oracle = CuratorOracle(MembershipVector(hidden))
+    rng = random.Random(phi)
+    for _ in range(8):
+        n = rng.randint(1, 16)
+        indices = None if n == 16 and rng.random() < 0.5 else rng.sample(range(16), n)
+        twin = build_twin_prime_vector(n).entries
+        drawn = [Fraction(rng.randrange(1, q), q) for q in rng.choices(range(2, 60), k=n)]
+        for query in (twin, drawn, "twin", "binary"):
+            if isinstance(query, str):
+                doc = {"kind": query, "n": n}
+            else:
+                doc = {"entries": [format_rational(e) for e in query]}
+            if indices is not None:
+                doc["indices"] = indices
+            local = wire_line(oracle._answer(query, n, indices, phi))
+            assert local == _serve_one(hidden, json.dumps(doc), phi), doc
 
 
 # attack demo

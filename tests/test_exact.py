@@ -486,7 +486,6 @@ def test_multiclass_cell_limit():
             lambda: _respond(
                 {"kind": "binary", "n": BINARY_WIRE_MAX_N + 1},
                 Labeling((0,) * (BINARY_WIRE_MAX_N + 1)),
-                "exact",
                 None,
             ),
             "exact binary responses are capped at n = 16 on the wire; use decimal mode",
