@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, ContextManager, Iterator
 
 from .errors import ValidationError
@@ -314,6 +316,12 @@ def _round_decimal_sig(value: Decimal, phi: int) -> str:
     return _format_sci(text, exponent)
 
 
+@lru_cache
+def _ln2(prec: int) -> Decimal:
+    """ln 2 correctly rounded to prec digits; Decimal.ln is superlinear in prec."""
+    return Context(prec=prec).ln(Decimal(2))
+
+
 def _ln_positive_int(m: int, prec: int) -> Decimal:
     """ln(m) for m >= 1 under the current decimal context.
 
@@ -327,7 +335,7 @@ def _ln_positive_int(m: int, prec: int) -> Decimal:
     if m.bit_length() <= kept:
         return Decimal(m).ln()
     shift = m.bit_length() - kept
-    return Decimal(m >> shift).ln() + shift * Decimal(2).ln()
+    return Decimal(m >> shift).ln() + shift * _ln2(prec)
 
 
 def _ln_fraction(value: Fraction, sig_digits: int) -> Decimal:
@@ -409,16 +417,30 @@ def exact_score_multiclass(v: PredictionMatrix, labels: ClassLabeling) -> ExactS
     return ExactScore(value=1 / product, n=len(v))
 
 
-def _rounded_ll(ln_at: Callable[[int], Decimal], n: int, phi: int) -> DecimalScore:
+def _rounded_ll(
+    ln_at: Callable[[int], Decimal], n: int, phi: int, terms: tuple[float, float] | None = None
+) -> DecimalScore:
     """n * LL rounded half-even to phi significant digits, from ln_at(sig).
 
-    ln_at(sig) returns n * LL to at least sig significant digits.  LL is
-    bracketed by that error bound; when the two ends of the bracket round
-    apart, sig doubles.  Every score here is ln of a rational other than 1,
-    over n, so LL is transcendental and never sits exactly on a tie: the
-    loop ends, and the rounding is exact.
+    terms, if given, are two doubles, each within 2^-50 of its own size of
+    one of two terms summing to n * LL; if their bracket rounds to one
+    value, that is the answer.  Otherwise ln_at(sig) returns n * LL to at
+    least sig significant digits.  LL is bracketed by that error bound; when
+    the two ends of the bracket round apart, sig doubles.  Every score here
+    is ln of a rational other than 1, over n, so LL is transcendental and
+    never sits exactly on a tie: the loop ends, and the rounding is exact.
     """
     near = Context(prec=phi, rounding=ROUND_HALF_EVEN)
+    if terms is not None:
+        a, b = terms
+        # a + b is within 2^-50 (1 + 2^-49)(|a| + |b|) of n * LL, and the sum and
+        # the division round within 2^-53 (|a| + |b|) / n each, so |ll - LL| is
+        # under 2^-49 (|a| + |b|) / n, below the margin after its own roundings
+        ll = Decimal((a + b) / n)
+        margin = Decimal((abs(a) + abs(b)) / n * 2.0**-48)
+        lo = near.subtract(ll, margin)
+        if lo == near.add(ll, margin):
+            return DecimalScore(_round_decimal_sig(lo, phi), phi, ScoreKind.LOGLOSS)
     sig = 2 * phi + 10
     while True:
         ln_value = ln_at(sig)
@@ -442,13 +464,16 @@ def logloss_decimal(x: PredictionVector, labels: Labeling, phi: int) -> DecimalS
     if phi < 1:
         raise ValidationError("need at least one significant digit")
     score = exact_score(x, labels)
-    return _rounded_ll(partial(_ln_fraction, score.value), score.n, phi)
+    # math.log(m) is within 2^-51 ln m for an int m >= 2 (exact at 1): m rounds to a
+    # double, or a mantissa and a power of two, within 2^-53, and libm's log to an ulp
+    terms = (math.log(score.value.numerator), -math.log(score.value.denominator))
+    return _rounded_ll(partial(_ln_fraction, score.value), score.n, phi, terms)
 
 
 def auc_exact(x: PredictionVector, labels: Labeling) -> Fraction | None:
     """Mann-Whitney AUC as an exact rational; None when a class is empty.
 
-    Ties get half credit, computed via midranks over the exact entries.
+    Ties get half credit, through doubled integer midranks of the entries.
     """
     if len(x) != len(labels):
         raise ValidationError(
@@ -458,20 +483,15 @@ def auc_exact(x: PredictionVector, labels: Labeling) -> Fraction | None:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = sorted(range(len(labels)), key=lambda i: x.entries[i])
-    rank_sum = Fraction(0)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and x.entries[order[j + 1]] == x.entries[order[i]]:
-            j += 1
-        midrank = Fraction(i + j + 2, 2)  # ranks are 1-based
-        for idx in order[i : j + 1]:
-            if labels.bits[idx]:
-                rank_sum += midrank
-        i = j + 1
-    u = rank_sum - Fraction(n_pos * (n_pos + 1), 2)
-    return u / (n_pos * n_neg)
+    rank2 = seen = 0
+    # float(x) <= float(y) whenever x < y, so the Fractions compare only on a float tie
+    keyed = sorted((float(e), e, bit) for e, bit in zip(x.entries, labels.bits))
+    for _, run in groupby(keyed, key=itemgetter(0, 1)):
+        bits = [bit for _, _, bit in run]
+        # doubled midrank of the tied ranks seen + 1 .. seen + len(bits)
+        rank2 += (2 * seen + len(bits) + 1) * sum(bits)
+        seen += len(bits)
+    return Fraction(rank2 - n_pos * (n_pos + 1), 2 * n_pos * n_neg)
 
 
 def auc(x: PredictionVector, labels: Labeling, phi: int) -> DecimalScore:
@@ -515,21 +535,19 @@ def _wide_str(value: int | Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' (or a bare integer) into a positive reduced Fraction."""
+    """Parse ASCII 'p/q' (or a bare integer p) into a positive reduced Fraction."""
     if not isinstance(text, str):
         raise ValidationError(f"not a rational: {text!r}")
-    try:
-        with _int_digits(len(text)):
-            if "/" in text:
-                p_text, q_text = text.split("/", 1)
-                value = Fraction(int(p_text), int(q_text))
-            else:
-                value = Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"not a rational: {text!r}") from None
-    if value <= 0:
+    p_text, slash, q_text = text.partition("/")
+    # int() would also take signs, spaces, underscores and non-ASCII digits;
+    # a denominator must keep a digit other than 0
+    if not (text.isascii() and p_text.isdigit() and (q_text.strip("0").isdigit() or not slash)):
+        raise ValidationError(f"not a rational: {text!r}")
+    with _int_digits(len(text)):
+        p, q = int(p_text), int(q_text) if slash else 1
+    if not p:
         raise ValidationError(f"expected a positive rational, got {text!r}")
-    return value
+    return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:

@@ -31,6 +31,7 @@ from .core import (
     PredictionMatrix,
     PredictionVector,
     ScoreKind,
+    _ln2,
     _rounded_ll,
     _split_pow2,
     _wide_str,
@@ -206,20 +207,19 @@ def required_precision_binary(n: int) -> int:
     return len(str(4 << n)) + 1
 
 
-def _binary_log(n: int, exponent: int, digits: int, ln2: Decimal | None = None) -> Decimal:
+def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
     """ln((2^(2^n) - 1) / 2^exponent), n LL of the binary construction, to digits.
 
     The entries' denominators telescope, prod (1 + 2^(2^(i-1))) = 2^(2^n) - 1,
     so the value is (2^n - exponent) ln 2 + ln(1 - 2^-2^n).  The first term
     is at least ln 2 and the second at least ln(3/4), so nothing cancels and
     the working precision does not grow with n; past 4 * digits + 40 bits
-    the second term is below every digit kept.  A caller that needs ln 2
-    itself passes it in, to at least digits + 10 digits.
+    the second term is below every digit kept.
     """
     with localcontext() as ctx:
         ctx.prec = digits + 10
         width = 1 << n
-        value = (width - exponent) * (Decimal(2).ln() if ln2 is None else ln2)
+        value = (width - exponent) * _ln2(digits + 10)
         if width <= 4 * digits + 40:
             value += (1 - Decimal(2) ** -width).ln()
         return value
@@ -229,7 +229,8 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
     """Recover the labeling from a rounded log-loss of the binary construction.
 
     Inverts LL = (C - N ln 2)/n for the integer N; rejects when the rounded
-    digits leave the nearest integer ambiguous (residual above 1/4).
+    digits leave the nearest integer ambiguous (residual above 1/4), or
+    when another exponent rounds to the same digits.
     """
     if ll.kind is not ScoreKind.LOGLOSS:
         raise ValidationError("need a log-loss score")
@@ -239,11 +240,9 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
     prec = len(str(1 << n)) + max(ll.phi, 20) + 10
     with localcontext() as ctx:
-        ctx.prec = prec + 10
-        ln2 = Decimal(2).ln()  # superlinear in prec: evaluated once per call
         ctx.prec = prec
-        c = _binary_log(n, 0, prec, ln2)
-        estimate = (c - n * Decimal(ll.digits)) / ln2
+        c = _binary_log(n, 0, prec)
+        estimate = (c - n * Decimal(ll.digits)) / _ln2(prec + 10)
         nearest = int(estimate.to_integral_value())
         residual = abs(estimate - nearest)
         if residual > Decimal("0.25"):
@@ -252,7 +251,27 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
             )
     if nearest < 0 or nearest >= 1 << n:
         raise DecodeError(f"decoded exponent {nearest} is out of range for n = {n}")
+    # LL falls as N grows, so the exponents behind one wire form an interval:
+    # it is {nearest} iff nearest rounds to the wire and neither neighbour does
+    wire = Decimal(ll.digits)
+    for other in (nearest, nearest - 1, nearest + 1):
+        hit = 0 <= other < 1 << n and Decimal(_binary_ll(n, other, ll.phi).digits) == wire
+        if hit != (other == nearest):
+            verb = "does not round" if other == nearest else "also rounds"
+            raise PrecisionError(f"{ll.phi} digits: exponent {other} {verb} to {ll.digits}")
     return Labeling(tuple((nearest >> i) & 1 for i in range(n)))
+
+
+def _binary_ll(n: int, exponent: int, phi: int) -> DecimalScore:
+    """The binary construction's LL at bitmask exponent, rounded to phi digits."""
+    # below n = 1024 a double holds 2^n: (2^n - N) ln 2 is a product of two
+    # correctly rounded doubles, within 2^-51; log1p is within an ulp of the
+    # ln(1 - 2^-2^n) a double holds, and the rest (< 2^-1074) is in the margin
+    terms = None
+    if n < 1024:
+        width = 1 << n
+        terms = ((width - exponent) * math.log(2), math.log1p(-(2.0**-width)))
+    return _rounded_ll(partial(_binary_log, n, exponent), n, phi, terms)
 
 
 def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, DecimalScore]:
@@ -272,7 +291,7 @@ def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, D
     if n > BINARY_DECIMAL_MAX_N:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
     bitmask = sum(bit << i for i, bit in enumerate(labels.bits))
-    ll = _rounded_ll(partial(_binary_log, n, bitmask), n, phi)
+    ll = _binary_ll(n, bitmask, phi)
     ones = sum(labels.bits)
     if ones == 0 or ones == n:
         return ll, DecimalScore(digits="", phi=phi, kind=ScoreKind.AUC_NOT_DEFINED)

@@ -16,13 +16,16 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
-# Deterministic witness set: correct for every n < 3,317,044,064,679,887,385,961,981
-# (comfortably beyond 64-bit), per Sorenson & Webster.
+# Deterministic witness set: correct for every n < _MR_BOUND (beyond 64-bit), per
+# Sorenson & Webster; 399,165,290,221 * 798,330,580,441 = _MR_BOUND fools all twelve.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n within the fixed-witness range."""
+    """Deterministic Miller-Rabin for n below _MR_BOUND; ValidationError at or above it."""
+    if n >= _MR_BOUND:
+        raise ValidationError(f"is_prime is deterministic only below {_MR_BOUND}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -6,13 +6,20 @@ floating point, AUC from literal pair counting.  Tests compare the
 package's integer pipelines against these.
 """
 
+import os
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import strategies as st
+
+# pytest puts src/ on sys.path (pyproject's pythonpath); the `python -m
+# lossprobe` children that CLI tests and `--transport subprocess` start need it too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def naive_exact_score(entries, labels) -> Fraction:

@@ -1,12 +1,15 @@
 """Exact scores, rounding, and serialization against independent oracles."""
 
+import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lossprobe import core
 from lossprobe.core import (
     ClassLabeling,
     DecimalScore,
@@ -26,6 +29,8 @@ from lossprobe.core import (
     round_fraction_sig,
 )
 from lossprobe.errors import ValidationError
+from lossprobe.precision import curated_batch_vector
+from lossprobe.primes import twin_primes
 
 from conftest import (
     fraction_sig_wire,
@@ -207,6 +212,82 @@ def test_logloss_rounds_once_next_to_a_tie(offset, expected):
     assert got == expected == mp_logloss_wire([x], [1], 1)
 
 
+def _decimal_only(entries, labels, phi) -> str:
+    """The wire from _rounded_ll's Decimal bracket alone, without the double one."""
+    score = exact_score(PredictionVector(tuple(entries)), Labeling(tuple(labels)))
+    return core._rounded_ll(partial(core._ln_fraction, score.value), score.n, phi).wire()
+
+
+@st.composite
+def near_tie_vectors(draw):
+    """Entries whose LL, -ln x, is within 1e-12 of a half-even tie at phi digits.
+
+    x carries 60 digits, far below every offset drawn; k copies of x labeled
+    1 and k of 1 - x labeled 0 keep the LL and widen the exact score.
+    """
+    phi = draw(st.integers(1, 12))
+    mantissa = draw(st.integers(10 ** (phi - 1), 10**phi - 1))
+    tie = (Decimal(2 * mantissa + 1) / 2).scaleb(draw(st.integers(-3, 1)) - phi + 1)
+    offset = Decimal(draw(st.integers(-999, 999)) or 1).scaleb(-draw(st.integers(15, 30)))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = F((-(tie + offset)).exp())
+    k = draw(st.integers(1, 4))
+    return [x] * k + [1 - x] * k, [1] * k + [0] * k, phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(vectors_with_labels(), st.integers(1, 12)).map(lambda c: (*c[0], c[1])),
+        near_tie_vectors(),
+    )
+)
+def test_logloss_double_bracket_matches_decimal_bracket_and_mpmath(case):
+    entries, labels, phi = case
+    wire = logloss_decimal(PredictionVector(tuple(entries)), Labeling(tuple(labels)), phi).wire()
+    assert wire == _decimal_only(entries, labels, phi)
+    assert wire == mp_logloss_wire(entries, labels, phi)
+
+
+def test_logloss_decimal_path_only_next_to_a_tie(monkeypatch):
+    calls = []
+    ln_fraction = core._ln_fraction
+    monkeypatch.setattr(
+        core, "_ln_fraction", lambda *args: calls.append(args) or ln_fraction(*args)
+    )
+    # within 1e-17 of the ties 0.25 (phi 1) and 1.2345 (phi 5): the double
+    # bracket cannot decide, so the Decimal one does
+    for tie, phi in (("0.25", 1), ("1.2345", 5)):
+        for offset in ("1e-17", "-1e-17"):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                x = F((-Decimal(tie) - Decimal(offset)).exp())
+            got = logloss_decimal(PredictionVector((x,)), Labeling((1,)), phi).wire()
+            assert got == mp_logloss_wire([x], [1], phi)
+    assert len(calls) == 4
+    calls.clear()
+    # every labeling of every curated prefix at its own precision
+    for phi in (1, 2, 3):
+        curated = curated_batch_vector(phi)
+        for b in range(1, len(curated) + 1):
+            vec = PredictionVector(curated[:b])
+            for mask in range(1 << b):
+                logloss_decimal(vec, Labeling(tuple((mask >> i) & 1 for i in range(b))), phi)
+    # twin and random entry lists like the served ones, at phi 3
+    rng = random.Random(15)
+    twins = twin_primes(1024).primes
+    for _ in range(300):
+        size = rng.randint(8, 64)
+        start = rng.randrange(len(twins) - size)
+        twin = [F(p, p + 2) for p in twins[start : start + size]]
+        dens = [rng.randint(3, 1000) for _ in range(rng.randint(2, 12))]
+        for entries in (twin, [F(rng.randint(1, d - 1), d) for d in dens]):
+            labels = Labeling(tuple(rng.randint(0, 1) for _ in entries))
+            logloss_decimal(PredictionVector(tuple(entries)), labels, 3)
+    assert calls == []
+
+
 # AUC
 
 
@@ -222,6 +303,29 @@ def test_auc_matches_pair_counting(n, data):
     assert auc_exact(
         PredictionVector(tuple(entries)), Labeling(tuple(labels))
     ) == naive_auc(entries, labels)
+
+
+@given(st.integers(2, 16), st.integers(1, 6), st.data())
+def test_auc_wire_matches_pair_counting_with_ties(n, phi, data):
+    # quarters and halves, so most points share their entry with others
+    entries = data.draw(
+        st.lists(st.sampled_from((F(1, 4), F(1, 2), F(2, 4), F(3, 4))), min_size=n, max_size=n)
+    )
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    expected = naive_auc(entries, labels)
+    got = auc(PredictionVector(tuple(entries)), Labeling(tuple(labels)), phi).wire()
+    assert got == ("ND" if expected is None else fraction_sig_wire(expected, phi))
+
+
+def test_auc_orders_entries_a_double_cannot_tell_apart():
+    # equal as doubles, distinct as rationals: only the exact order ranks them
+    low, high = F(1, 3), F(1, 3) + F(1, 10**30)
+    assert float(low) == float(high)
+    entries = [high, low, low, high]
+    for mask in range(16):
+        bits = tuple((mask >> i) & 1 for i in range(4))
+        got = auc_exact(PredictionVector(tuple(entries)), Labeling(bits))
+        assert got == naive_auc(entries, bits)
 
 
 def test_auc_tie_gets_half_credit():
@@ -315,7 +419,8 @@ def test_rational_roundtrip_past_interpreter_digit_cap():
 
 
 def test_parse_rational_rejections():
-    for bad in ("abc", "1/0", "-3/4", "0", "0/5", "1/2/3", "", 1, None, ["1/2"]):
+    for bad in ("abc", "1/0", "-3/4", "0", "0/5", "1/2/3", "", 1, None, ["1/2"],
+                "1_0/3", " 5/7", "+5/7", "5/ 7", "\u0665/7"):
         with pytest.raises(ValidationError):
             parse_rational(bad)
 

@@ -3,16 +3,19 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lossprobe import exact
 from lossprobe.cli import BINARY_WIRE_MAX_N, _respond
 from lossprobe.core import (
     ClassLabeling,
     ExactScore,
     Labeling,
     ScoreKind,
+    _rounded_ll,
     coprime_fraction,
     exact_score,
     exact_score_multiclass,
@@ -357,6 +360,42 @@ def test_binary_decimal_response_matches_per_point_sums(n, pattern):
     for phi in (1, 3, 6, 12):
         ll, _ = binary_decimal_response(Labeling(bits), phi)
         assert ll.wire() == mp_binary_logloss_wire(bits, phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.integers(1018, 1030)), st.integers(1, 12), st.data())
+def test_binary_double_bracket_matches_decimal_bracket_and_mpmath(n, phi, data):
+    # n < 1024 takes the double bracket first, n >= 1024 the Decimal one only
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    exponent = sum(bit << i for i, bit in enumerate(bits))
+    ll, _ = binary_decimal_response(Labeling(tuple(bits)), phi)
+    decimal_only = _rounded_ll(partial(exact._binary_log, n, exponent), n, phi)
+    assert ll == decimal_only
+    assert ll.wire() == mp_binary_logloss_wire(bits, phi)
+
+
+def test_binary_decimal_path_only_past_a_double(monkeypatch):
+    calls = []
+    binary_log = exact._binary_log
+    monkeypatch.setattr(
+        exact, "_binary_log", lambda *args: calls.append(args) or binary_log(*args)
+    )
+    rng = random.Random(15)
+    for _ in range(300):  # named binary documents like the served ones
+        bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(8, 256)))
+        binary_decimal_response(Labeling(bits), 3)
+    assert calls == []
+    binary_decimal_response(Labeling((1, 0) * 512), 3)
+    assert len(calls) == 1  # 2^1024 is past every double
+
+
+@pytest.mark.parametrize("n,phi", [(134, 41), (144, 44)])
+def test_binary_decimal_decode_fails_closed_below_required_precision(n, phi):
+    # the residual rule alone takes both all-zero wires to exponent 1
+    assert phi < required_precision_binary(n)
+    ll, _ = binary_decimal_response(Labeling((0,) * n), phi)
+    with pytest.raises(PrecisionError, match="exponent 0 also rounds"):
+        decode_binary_from_decimal(ll, n)
 
 
 def test_binary_decimal_ambiguous_digits_detected():

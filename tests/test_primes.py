@@ -26,6 +26,16 @@ def test_sieve_and_miller_rabin_agree_to_ten_thousand():
         assert is_prime(n) == (n in sieved)
 
 
+def test_is_prime_refuses_past_its_deterministic_range():
+    # a strong pseudoprime to every one of the twelve witness bases 2-37
+    composite = 399_165_290_221 * 798_330_580_441
+    with pytest.raises(ValidationError, match="deterministic only below"):
+        is_prime(composite)
+    with pytest.raises(ValidationError):
+        is_prime(composite + 2)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
 def test_first_primes_head():
     assert first_primes(10) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
