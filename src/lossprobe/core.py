@@ -470,6 +470,18 @@ def logloss_decimal(x: PredictionVector, labels: Labeling, phi: int) -> DecimalS
     return _rounded_ll(partial(_ln_fraction, score.value), score.n, phi, terms)
 
 
+def _auc_value(rank2: int, pos: int, n: int) -> Fraction | None:
+    """Mann-Whitney AUC from the positives' doubled rank sum; None when a class is empty."""
+    return Fraction(rank2 - pos * (pos + 1), 2 * pos * (n - pos)) if 0 < pos < n else None
+
+
+def _rounded_auc(value: Fraction | None, phi: int) -> DecimalScore:
+    """An AUC rounded to phi significant digits; AUC_NOT_DEFINED for None."""
+    if value is None:
+        return DecimalScore(digits="", phi=phi, kind=ScoreKind.AUC_NOT_DEFINED)
+    return DecimalScore(digits=round_fraction_sig(value, phi), phi=phi, kind=ScoreKind.AUC)
+
+
 def auc_exact(x: PredictionVector, labels: Labeling) -> Fraction | None:
     """Mann-Whitney AUC as an exact rational; None when a class is empty.
 
@@ -479,10 +491,6 @@ def auc_exact(x: PredictionVector, labels: Labeling) -> Fraction | None:
         raise ValidationError(
             f"vector has {len(x)} entries but labeling has {len(labels)}"
         )
-    n_pos = sum(labels.bits)
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
     rank2 = seen = 0
     # float(x) <= float(y) whenever x < y, so the Fractions compare only on a float tie
     keyed = sorted((float(e), e, bit) for e, bit in zip(x.entries, labels.bits))
@@ -491,19 +499,18 @@ def auc_exact(x: PredictionVector, labels: Labeling) -> Fraction | None:
         # doubled midrank of the tied ranks seen + 1 .. seen + len(bits)
         rank2 += (2 * seen + len(bits) + 1) * sum(bits)
         seen += len(bits)
-    return Fraction(rank2 - n_pos * (n_pos + 1), 2 * n_pos * n_neg)
+    return _auc_value(rank2, sum(labels.bits), len(labels))
 
 
 def auc(x: PredictionVector, labels: Labeling, phi: int) -> DecimalScore:
     """Exact AUC rounded to phi significant digits; AUC_NOT_DEFINED if one-class."""
-    value = auc_exact(x, labels)
-    if value is None:
-        return DecimalScore(digits="", phi=phi, kind=ScoreKind.AUC_NOT_DEFINED)
-    return DecimalScore(digits=round_fraction_sig(value, phi), phi=phi, kind=ScoreKind.AUC)
+    return _rounded_auc(auc_exact(x, labels), phi)
 
 
 _int_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0 means no cap
 _NOT_WIDENED = nullcontext()
+# no interpreter's digit cap can be set below this length
+_NEVER_CAPPED = getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 
 def _int_digits(digits: int) -> ContextManager[None]:
@@ -543,8 +550,11 @@ def parse_rational(text: str) -> Fraction:
     # a denominator must keep a digit other than 0
     if not (text.isascii() and p_text.isdigit() and (q_text.strip("0").isdigit() or not slash)):
         raise ValidationError(f"not a rational: {text!r}")
-    with _int_digits(len(text)):
+    if len(text) < _NEVER_CAPPED:  # skips the cap check, a fifth of a short parse
         p, q = int(p_text), int(q_text) if slash else 1
+    else:
+        with _int_digits(len(text)):
+            p, q = int(p_text), int(q_text) if slash else 1
     if not p:
         raise ValidationError(f"expected a positive rational, got {text!r}")
     return Fraction(p, q)

@@ -31,17 +31,18 @@ from .core import (
     PredictionMatrix,
     PredictionVector,
     ScoreKind,
+    _auc_value,
     _ln2,
+    _rounded_auc,
     _rounded_ll,
     _split_pow2,
     _wide_str,
     coprime_fraction,
-    round_fraction_sig,
 )
 from .errors import DecodeError, PrecisionError, ValidationError
 from .primes import factor_over, first_primes, remainders, tree_product, twin_primes
 
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 
@@ -191,22 +192,6 @@ def decode_binary(score: ExactScore) -> Labeling:
     return Labeling(tuple((exponent >> i) & 1 for i in range(n)))
 
 
-def required_precision_binary(n: int) -> int:
-    """Significant digits phi that guarantee decode_binary_from_decimal works.
-
-    Sufficient condition: the worst-case quantization error of LL at phi
-    digits, propagated through N = (C - n LL) log2(e), stays below 1/4,
-    which takes floor(log10(4 C log2(e))) + 2 digits.  C = ln(2^(2^n) - 1)
-    puts 4 C log2(e) in (4 * 2^n - 4, 4 * 2^n), a gap no power of ten falls
-    in, so the count is read off the digits of 4 * 2^n exactly.
-    """
-    if n < 1:
-        raise ValidationError("need at least one datapoint")
-    if n > BINARY_DECIMAL_MAX_N:
-        raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
-    return len(str(4 << n)) + 1
-
-
 def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
     """ln((2^(2^n) - 1) / 2^exponent), n LL of the binary construction, to digits.
 
@@ -228,9 +213,12 @@ def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
 def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
     """Recover the labeling from a rounded log-loss of the binary construction.
 
-    Inverts LL = (C - N ln 2)/n for the integer N; rejects when the rounded
-    digits leave the nearest integer ambiguous (residual above 1/4), or
-    when another exponent rounds to the same digits.
+    With M = 2^n - N, n LL = M ln 2 + ln(1 - 2^-2^n): nothing cancels near
+    the all-ones end, so at 2 phi + 10 digits the wire's bin, widened by
+    half a unit of its last digit, inverts to an interval of M far finer
+    than one step.  Each exponent in it is rescored exactly, and exactly one
+    must round to the wire.  An interval of more than four exponents, or
+    more than one match, raises PrecisionError; no match raises DecodeError.
     """
     if ll.kind is not ScoreKind.LOGLOSS:
         raise ValidationError("need a log-loss score")
@@ -238,28 +226,31 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
         raise ValidationError("need at least one datapoint")
     if n > BINARY_DECIMAL_MAX_N:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
-    prec = len(str(1 << n)) + max(ll.phi, 20) + 10
-    with localcontext() as ctx:
-        ctx.prec = prec
-        c = _binary_log(n, 0, prec)
-        estimate = (c - n * Decimal(ll.digits)) / _ln2(prec + 10)
-        nearest = int(estimate.to_integral_value())
-        residual = abs(estimate - nearest)
-        if residual > Decimal("0.25"):
-            raise PrecisionError(
-                f"{ll.phi} digits leave the exponent ambiguous (residual {residual})"
-            )
-    if nearest < 0 or nearest >= 1 << n:
-        raise DecodeError(f"decoded exponent {nearest} is out of range for n = {n}")
-    # LL falls as N grows, so the exponents behind one wire form an interval:
-    # it is {nearest} iff nearest rounds to the wire and neither neighbour does
-    wire = Decimal(ll.digits)
-    for other in (nearest, nearest - 1, nearest + 1):
-        hit = 0 <= other < 1 << n and Decimal(_binary_ll(n, other, ll.phi).digits) == wire
-        if hit != (other == nearest):
-            verb = "does not round" if other == nearest else "also rounds"
-            raise PrecisionError(f"{ll.phi} digits: exponent {other} {verb} to {ll.digits}")
-    return Labeling(tuple((nearest >> i) & 1 for i in range(n)))
+    phi, wire, width = ll.phi, Decimal(ll.digits), 1 << n
+    sig = 2 * phi + 10  # _binary_ll's first precision, so ln 2 is computed once
+    first, last = 1, 0
+    if 0 < wire < width:  # every LL of n points is below 2^n
+        with localcontext() as ctx:
+            ctx.prec = sig + 10
+            half = Decimal((0, (5,), wire.adjusted() - phi))  # half a unit of the last digit
+            tail = _binary_log(n, width, sig)  # exponent 2^n leaves ln(1 - 2^-2^n)
+            lo, hi = ((n * x - tail) / _ln2(sig + 10) for x in (wire - half, wire + half))
+            slack = (hi + 1).scaleb(-sig)  # far above the few ulps of error
+            first = max(first, int((lo - slack).to_integral_value(ROUND_CEILING)))
+            last = min(width, int((hi + slack).to_integral_value(ROUND_FLOOR)))
+    if last - first >= 4:
+        raise PrecisionError(f"{phi} digits leave {last - first + 1} exponents at {ll.digits}")
+    matches = [
+        exponent for exponent in range(width - last, width - first + 1)
+        if Decimal(_binary_ll(n, exponent, phi).digits) == wire
+    ]
+    if not matches:
+        raise DecodeError(f"no exponent of {n} points rounds to {ll.digits}")
+    if len(matches) > 1:
+        raise PrecisionError(
+            f"{phi} digits: exponents {', '.join(map(str, matches))} all round to {ll.digits}"
+        )
+    return Labeling(tuple((matches[0] >> i) & 1 for i in range(n)))
 
 
 def _binary_ll(n: int, exponent: int, phi: int) -> DecimalScore:
@@ -272,6 +263,18 @@ def _binary_ll(n: int, exponent: int, phi: int) -> DecimalScore:
         width = 1 << n
         terms = ((width - exponent) * math.log(2), math.log1p(-(2.0**-width)))
     return _rounded_ll(partial(_binary_log, n, exponent), n, phi, terms)
+
+
+def _binary_batch_fits(b: int, phi: int) -> bool:
+    """decode_binary_from_decimal's rule in closed form, for b points at phi digits.
+
+    Adjacent exponents' LLs are ln 2 / b apart; when that exceeds one unit in
+    the phi-th digit of the top LL, C(b)/b, no two share a wire.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 30
+        top = _binary_log(b, 0, 20) / b
+        return _ln2(30) / b > Decimal(1).scaleb(top.adjusted() + 1 - phi)
 
 
 def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, DecimalScore]:
@@ -291,16 +294,9 @@ def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, D
     if n > BINARY_DECIMAL_MAX_N:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
     bitmask = sum(bit << i for i, bit in enumerate(labels.bits))
-    ll = _binary_ll(n, bitmask, phi)
-    ones = sum(labels.bits)
-    if ones == 0 or ones == n:
-        return ll, DecimalScore(digits="", phi=phi, kind=ScoreKind.AUC_NOT_DEFINED)
-    rank_sum = sum(i + 1 for i, bit in enumerate(labels.bits) if bit)
-    u = rank_sum - ones * (ones + 1) // 2
-    auc_value = Fraction(u, ones * (n - ones))
-    return ll, DecimalScore(
-        digits=round_fraction_sig(auc_value, phi), phi=phi, kind=ScoreKind.AUC
-    )
+    rank2 = sum(2 * i + 2 for i, bit in enumerate(labels.bits) if bit)
+    auc_value = _auc_value(rank2, sum(labels.bits), n)
+    return _binary_ll(n, bitmask, phi), _rounded_auc(auc_value, phi)
 
 
 class _Construction(NamedTuple):

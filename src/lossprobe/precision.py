@@ -1,12 +1,14 @@
 """Working with oracles that round: separation bounds, batch sizing, lookups.
 
 An oracle reporting phi significant digits still leaks labels, just fewer
-per query.  A batch of b points has 2^b candidate labelings; the pair of
-rounded scores (AUC, LL) can take at most 10^phi * (10^phi + 1) values, so
-b is capped by the pigeonhole bound of max_unique_batch().  That bound is
-only necessary.  Whether a concrete prediction vector actually separates
-all 2^b labelings is checked here by exhaustive enumeration, and the
-curated vectors below are the largest ones such a search has found.
+per query.  A batch of b points has 2^b candidate labelings, and the pair
+of rounded scores (AUC, LL) must tell them apart.  max_unique_batch()
+counts the pairs whose LL has one fixed exponent, 10^phi * (10^phi + 1);
+that is no bound, since the LL wire carries its own exponent (the curated
+one-digit vector's 32 labelings give 11 LL wires over four exponents).
+Whether a concrete prediction vector separates all 2^b labelings is
+checked here by exhaustive enumeration, and the curated vectors below are
+the largest ones such a search has found.
 
 Batches are scored in isolation: a query carries the indices of the batch
 and predictions for those points only, so the reported scores depend on
@@ -19,7 +21,7 @@ use it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -30,18 +32,14 @@ from .core import (
     DecimalScore,
     Labeling,
     PredictionVector,
-    ScoreKind,
+    _auc_value,
     _ln_positive_int,
+    _rounded_auc,
     _round_decimal_sig,
     logloss_decimal,
-    round_fraction_sig,
 )
 from .errors import LookupBuildError, DecodeError, ValidationError
-from .exact import (
-    BINARY_DECIMAL_MAX_N,
-    decode_binary_from_decimal,
-    required_precision_binary,
-)
+from .exact import BINARY_DECIMAL_MAX_N, _binary_batch_fits, decode_binary_from_decimal
 
 if TYPE_CHECKING:  # mia imports this module
     from .mia import ScoringView
@@ -93,11 +91,10 @@ def min_digits_for_separation(delta) -> int:
 
 
 def max_unique_batch(phi: int) -> int:
-    """Pigeonhole cap on batch size for (AUC, LL) tuples at phi digits.
+    """floor(log2(10^phi * (10^phi + 1))): the (AUC, LL) pairs for one LL exponent.
 
-    floor(log2(10^phi * (10^phi + 1))): the tuple can take at most
-    10^phi * (10^phi + 1) values, so 2^b beyond that cannot be injective.
-    This is an upper bound, not a construction; see curated_batch_vector.
+    A count, not a bound: the LL wire carries its own exponent, so a batch
+    can separate more labelings.  The lookup guard still caps batches here.
     """
     if phi < 1:
         raise ValidationError("need at least one significant digit")
@@ -130,8 +127,7 @@ def query_bound(n: int, phi: int) -> int:
 # two digits a nine-point vector separates all 512 labelings, but every
 # eight of its points collide, so no ordering of it is prefix-closed, and a
 # scan over logits in [-45, 45] found no ninth point extending the vector
-# below.  Whether 10 to 13 points (the pigeonhole cap) are reachable at two
-# digits is open.
+# below.  Whether 10 or more points are reachable at two digits is open.
 _CURATED_NUMERATORS: Mapping[int, tuple[tuple[int, int], ...]] = {
     1: tuple((a, 10**7) for a in (16, 21, 74, 2117, 248959)),
     2: tuple(
@@ -148,15 +144,15 @@ _CURATED_NUMERATORS: Mapping[int, tuple[tuple[int, int], ...]] = {
 }
 
 
-def curated_batch_vector(phi: int) -> tuple[Fraction, ...] | None:
-    """Largest known prediction vector with injective tuples at phi digits.
+def curated_batch_vector(phi: int) -> tuple[Fraction, ...]:
+    """The frozen vector of the highest precision at or below phi.
 
-    None when no curated vector exists for this precision; callers fall
-    back to the binary construction, whose precision demand is computable.
+    A vector that separates at phi' digits need not separate at more, so
+    build_tuple_lookup verifies each prefix at the precision it serves.
     """
-    pairs = _CURATED_NUMERATORS.get(phi)
-    if pairs is None:
-        return None
+    if phi < 1:
+        raise ValidationError("need at least one significant digit")
+    pairs = _CURATED_NUMERATORS[min(phi, max(_CURATED_NUMERATORS))]
     return tuple(Fraction(a, d) for a, d in pairs)
 
 
@@ -234,9 +230,7 @@ def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
 
     @cache
     def auc_wire(r2: int, pos: int) -> str:  # auc_exact's value, rounded
-        if pos in (0, b):
-            return DecimalScore("", phi, ScoreKind.AUC_NOT_DEFINED).wire()
-        return round_fraction_sig(Fraction(r2 - pos * (pos + 1), 2 * pos * (b - pos)), phi)
+        return _rounded_auc(_auc_value(r2, pos, b), phi).wire()
 
     table: dict[tuple[str, str], tuple[int, ...]] = {}
     for mask in range(1 << b):
@@ -289,7 +283,7 @@ def build_tuple_lookup(b: int, phi: int) -> TupleLookup:
     found = _LOOKUP_CACHE.get(key)
     if found is None:
         curated = curated_batch_vector(phi)
-        if curated is None or len(curated) < b:
+        if len(curated) < b:
             raise ValidationError(
                 f"no curated vector reaches {b} points at {phi} significant digits"
             )
@@ -323,9 +317,9 @@ class AttackPlan:
 
 
 def _largest_binary_batch(phi: int) -> int:
-    # required precision grows with n, so the batches that fit form a prefix
-    return bisect_right(
-        range(1, BINARY_DECIMAL_MAX_N + 1), phi, key=required_precision_binary
+    # the gap shrinks and the top LL grows with b, so the batches that fit form a prefix
+    return bisect_left(
+        range(1, BINARY_DECIMAL_MAX_N + 1), True, key=lambda b: not _binary_batch_fits(b, phi)
     )
 
 
@@ -333,20 +327,15 @@ def plan_batches(n: int, phi: int) -> AttackPlan:
     """Choose batch size and method for a phi-digit oracle over n points.
 
     Picks the larger of the curated tuple-table batch and the biggest
-    binary-construction batch whose decimal round-trip is guaranteed at
-    this precision.  The formula bound assumes a perfect 6*phi bits per
-    query and is reported alongside for comparison; realized schedules
-    can need more queries than the bound promises.
+    binary-construction batch the decoder separates at this precision;
+    neither shrinks as phi grows.  The formula bound assumes a perfect
+    6*phi bits per query and is reported alongside for comparison;
+    realized schedules can need more queries than the bound promises.
     """
     if n < 1:
         raise ValidationError("need at least one label")
-    curated = curated_batch_vector(phi)
-    b_table = len(curated) if curated is not None else 0
+    b_table = len(curated_batch_vector(phi))
     b_binary = _largest_binary_batch(phi)
-    if b_table == 0 and b_binary == 0:
-        raise ValidationError(
-            f"no batch construction works at {phi} significant digits"
-        )
     if b_table >= b_binary:
         method, size = "tuple-table", b_table
     else:

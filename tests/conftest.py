@@ -128,12 +128,17 @@ def mp_binary_log_sums(n: int, dps: int) -> tuple:
     return tuple(sums)
 
 
-def mp_required_precision_binary(n_max: int) -> list[int]:
-    """floor(log10(4 C(n) / ln 2)) + 2 for n = 1..n_max, from the per-point sums."""
+def mp_binary_batch_precisions(n_max: int) -> list[int]:
+    """For b = 1..n_max, the fewest digits that fit b binary points, from per-point sums.
+
+    b fits when adjacent exponents' LLs, ln 2 / b apart, exceed one unit in
+    the phi-th digit of the top LL, C(b)/b: phi > floor(log10(C(b)/b)) + 1 -
+    log10(ln 2 / b), and the right side is never an integer.
+    """
     with mp.workdps(40):
-        scale = 4 / mp.log(2)
         return [
-            int(mp.floor(mp.log10(scale * c))) + 2 for c in mp_binary_log_sums(n_max, 40)
+            int(mp.floor(mp.log10(c / b))) + 2 + int(mp.floor(-mp.log10(mp.log(2) / b)))
+            for b, c in enumerate(mp_binary_log_sums(n_max, 40), 1)
         ]
 
 

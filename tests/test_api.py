@@ -58,7 +58,6 @@ PUBLIC = [
     "perturb_prime",
     "plan_batches",
     "query_bound",
-    "required_precision_binary",
     "round_fraction_sig",
     "run_demo",
     "tuple_lookup_for",

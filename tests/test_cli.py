@@ -688,6 +688,29 @@ def test_plan_sixty_two_digits(capsys):
     assert doc["batches"][-1] == {"indices": [56, 57, 58, 59], "fill": [52, 53, 54, 55]}
 
 
+@pytest.mark.parametrize(
+    "phi,queries", [(1, 12), (2, 8), (3, 5), (4, 5), (5, 5), (6, 4), (7, 3), (8, 3)]
+)
+def test_plan_sixty_points_never_worse_with_more_digits(capsys, phi, queries):
+    code, out, _ = run_cli(capsys, "plan", "--n", "60", "--phi", str(phi))
+    assert code == 0
+    assert _last_json(out)["planned_queries"] == queries
+
+
+def test_attack_demo_four_digits_over_a_process_boundary(capsys):
+    # four digits send the twelve-point three-digit vector, verified at four
+    code, out, _ = run_cli(
+        capsys, "attack-demo", "--n", "150", "--mode", "fixed", "--phi", "4",
+        "--transport", "subprocess",
+    )
+    assert code == 0
+    doc = _last_json(out)
+    assert (doc["method"], doc["batch_size"]) == ("tuple-table", 12)
+    assert doc["queries_used"] == 13
+    assert doc["accuracy"] == "1/1"
+    assert "accuracy: 1 (150/150)" in out
+
+
 def test_plan_from_delta(capsys):
     code, out, _ = run_cli(capsys, "plan", "--n", "5", "--delta", "0.002")
     assert code == 0

@@ -2,6 +2,8 @@
 
 import math
 import random
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -37,16 +39,15 @@ from lossprobe.exact import (
     decode_multiclass,
     decode_twin_prime,
     decode_twin_prime_value,
-    required_precision_binary,
 )
-from lossprobe.precision import LOOKUP_MAX_BATCH, build_tuple_lookup
+from lossprobe.precision import LOOKUP_MAX_BATCH, _largest_binary_batch, build_tuple_lookup
 from lossprobe.primes import twin_primes
 
 from conftest import (
     binary_entries,
+    mp_binary_batch_precisions,
     mp_binary_logloss_wire,
     mp_logloss_wire,
-    mp_required_precision_binary,
     naive_exact_score,
 )
 
@@ -289,6 +290,15 @@ def test_binary_limit_enforced():
 # binary construction through the rounded-decimal channel
 
 
+def _fit_precision(n):
+    """The fewest digits at which the planner sends n binary points."""
+    return next(phi for phi in range(1, 2000) if _largest_binary_batch(phi) >= n)
+
+
+def _exponent(labeling):
+    return sum(bit << i for i, bit in enumerate(labeling.bits))
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [
@@ -299,18 +309,30 @@ def test_binary_limit_enforced():
     ],
 )
 def test_required_precision_values(n, expected):
-    assert required_precision_binary(n) == expected
+    # the digits of 4 * 2^n, plus one, keep the rounding error of n LL below
+    # a quarter step; the planner fits n points there, and each labeling decodes
+    assert len(str(4 << n)) + 1 == expected
+    assert _largest_binary_batch(expected) >= n
+    rng = random.Random(n)
+    for bits in ((0,) * n, (1,) * n, tuple(rng.randint(0, 1) for _ in range(n))):
+        ll, _ = binary_decimal_response(Labeling(bits), expected)
+        assert decode_binary_from_decimal(ll, n).bits == bits
 
 
 def test_required_precision_matches_per_point_sums():
-    # every n of the decimal route, against C(n) summed one point at a time
-    reference = mp_required_precision_binary(BINARY_DECIMAL_MAX_N)
-    sizes = range(1, BINARY_DECIMAL_MAX_N + 1)
-    assert [required_precision_binary(n) for n in sizes] == reference
+    # the fewest digits the planner sends n points at, for every n of the
+    # decimal route, against C(n) summed one point at a time
+    reference = mp_binary_batch_precisions(BINARY_DECIMAL_MAX_N)
+    largest = [_largest_binary_batch(phi) for phi in range(1, reference[-1] + 1)]
+    fewest = [bisect_left(largest, n) + 1 for n in range(1, BINARY_DECIMAL_MAX_N + 1)]
+    assert fewest == reference
 
 
 def test_required_precision_monotone():
-    values = [required_precision_binary(n) for n in range(1, 200)]
+    # the fewest digits that fit b points never fall as b grows, so the
+    # batches that fit at any precision form a prefix, as the planner's
+    # bisection assumes
+    values = mp_binary_batch_precisions(BINARY_DECIMAL_MAX_N)
     assert values == sorted(values)
 
 
@@ -318,7 +340,7 @@ def test_required_precision_monotone():
 @given(st.integers(1, 8), st.data())
 def test_binary_decimal_roundtrip_small(n, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    phi = required_precision_binary(n)
+    phi = _fit_precision(n)
     wire = mp_logloss_wire(binary_entries(n), bits, phi)
     ll = parse_decimal_score(wire, phi, ScoreKind.LOGLOSS)
     assert decode_binary_from_decimal(ll, n).bits == tuple(bits)
@@ -326,10 +348,55 @@ def test_binary_decimal_roundtrip_small(n, data):
 
 @pytest.mark.parametrize("n", [44, 100, 500, BINARY_DECIMAL_MAX_N])
 def test_binary_decimal_roundtrip_large(n):
-    phi = required_precision_binary(n)
+    phi = _fit_precision(n)
     bits = tuple((i * 13 + 5) % 7 % 2 for i in range(n))
     ll, _ = binary_decimal_response(Labeling(bits), phi)
     assert decode_binary_from_decimal(ll, n).bits == bits
+
+
+@pytest.mark.parametrize("phi", [2, 3, 4, 5])
+def test_bin_inversion_matches_enumeration_at_planned_sizes(phi):
+    # every labeling of the planner's batch has its own wire, and each wire
+    # decodes to its labeling
+    b = _largest_binary_batch(phi)
+    wires = [exact._binary_ll(b, exponent, phi) for exponent in range(1 << b)]
+    assert len({ll.digits for ll in wires}) == 1 << b
+    for exponent, ll in enumerate(wires):
+        assert _exponent(decode_binary_from_decimal(ll, b)) == exponent
+
+
+@pytest.mark.parametrize("phi", [4, 5])
+def test_one_point_past_the_plan_fails_closed(phi):
+    # shared wires raise PrecisionError; every wire that decodes is right
+    b = _largest_binary_batch(phi) + 1
+    wires = [exact._binary_ll(b, exponent, phi) for exponent in range(1 << b)]
+    shared = Counter(ll.digits for ll in wires)
+    refused = 0
+    for exponent, ll in enumerate(wires):
+        try:
+            assert _exponent(decode_binary_from_decimal(ll, b)) == exponent
+        except PrecisionError:
+            refused += 1
+        else:
+            assert shared[ll.digits] == 1
+    assert refused >= sum(count for count in shared.values() if count > 1) > 0
+
+
+def test_binary_decimal_decode_never_wrong_sweep():
+    # all-zero, all-one and near-all-one labelings of 1 to 600 points, each n
+    # at a seeded precision up to three digits past 2^n's: the decoder returns
+    # the labeling or raises PrecisionError, and decodes wherever the plan sends n
+    rng = random.Random(16)
+    for n in range(1, 601):
+        phi = rng.randint(1, len(str(1 << n)) + 3)
+        top = (1 << n) - 1
+        for exponent in {0, top, max(top - 1, 0), max(top - rng.randint(1, 9), 0)}:
+            bits = tuple((exponent >> i) & 1 for i in range(n))
+            ll, _ = binary_decimal_response(Labeling(bits), phi)
+            try:
+                assert decode_binary_from_decimal(ll, n).bits == bits
+            except PrecisionError:
+                assert _largest_binary_batch(phi) < n
 
 
 def test_binary_decimal_closed_form_matches_entries_path():
@@ -391,24 +458,49 @@ def test_binary_decimal_path_only_past_a_double(monkeypatch):
 
 @pytest.mark.parametrize("n,phi", [(134, 41), (144, 44)])
 def test_binary_decimal_decode_fails_closed_below_required_precision(n, phi):
-    # the residual rule alone takes both all-zero wires to exponent 1
-    assert phi < required_precision_binary(n)
+    # too few digits for n points: exponents 0 and 1 share the all-zero wire
+    assert _largest_binary_batch(phi) < n
     ll, _ = binary_decimal_response(Labeling((0,) * n), phi)
-    with pytest.raises(PrecisionError, match="exponent 0 also rounds"):
+    with pytest.raises(PrecisionError, match="exponents 0, 1 all round"):
         decode_binary_from_decimal(ll, n)
 
 
 def test_binary_decimal_ambiguous_digits_detected():
-    # 20 * 0.75 / ln 2 lands 0.36 away from the nearest exponent
-    ll = parse_decimal_score("7.5e-1", 2, ScoreKind.LOGLOSS)
-    with pytest.raises(PrecisionError):
-        decode_binary_from_decimal(ll, 20)
+    # seven points step by ln 2 / 7 < 0.1 between exponents, and the LLs of
+    # exponents 0 and 1, 12.67 and 12.57, both round to 1.3e1 at two digits
+    ll = parse_decimal_score("1.3e1", 2, ScoreKind.LOGLOSS)
+    assert [exact._binary_ll(7, e, 2).digits for e in (0, 1)] == ["1.3e1"] * 2
+    with pytest.raises(PrecisionError, match="exponents 0, 1 all round to 1.3e1"):
+        decode_binary_from_decimal(ll, 7)
+
+
+def test_binary_decimal_bin_wider_than_four_exponents_refused_unscored(monkeypatch):
+    # 1e0 at one digit spans LLs 0.5-1.5: seven exponents of five points
+    monkeypatch.setattr(exact, "_binary_ll", lambda *args: pytest.fail("rescored"))
+    ll = parse_decimal_score("1e0", 1, ScoreKind.LOGLOSS)
+    with pytest.raises(PrecisionError, match="1 digits leave 7 exponents at 1e0"):
+        decode_binary_from_decimal(ll, 5)
+
+
+def test_binary_decimal_candidates_are_rescored():
+    # the bin of 1.0e0 widened to 0.95-1.05 holds exponents 8388574-8388576
+    # of 23 points; the last two round to 9.9e-1 and 9.6e-1 instead
+    bits = tuple((8388574 >> i) & 1 for i in range(23))
+    ll, _ = binary_decimal_response(Labeling(bits), 2)
+    assert ll.digits == "1.0e0"
+    assert decode_binary_from_decimal(ll, 23).bits == bits
 
 
 def test_binary_decimal_out_of_range_exponent_detected():
-    ll = parse_decimal_score("1e-2", 1, ScoreKind.LOGLOSS)
-    with pytest.raises(DecodeError):
-        decode_binary_from_decimal(ll, 4)
+    for wire, phi, n in (
+        ("1e-2", 1, 4),  # below the all-ones LL
+        ("7.5e-1", 2, 20),  # 20 * [0.745, 0.755] / ln 2 holds no integer
+        ("9e9", 1, 4),  # above the all-zeros LL
+        ("1e-999999999", 1, 10),  # past the decimal context's exponent range
+    ):
+        ll = parse_decimal_score(wire, phi, ScoreKind.LOGLOSS)
+        with pytest.raises(DecodeError, match=f"no exponent of {n} points rounds to {wire}"):
+            decode_binary_from_decimal(ll, n)
 
 
 # multiclass construction
@@ -486,11 +578,6 @@ def test_multiclass_cell_limit():
             lambda: build_binary_vector(BINARY_MAX_N + 1),
             "binary construction capped at n = 32",
             id="binary-vector",
-        ),
-        pytest.param(
-            lambda: required_precision_binary(BINARY_DECIMAL_MAX_N + 1),
-            "binary decimal route capped at n = 4096",
-            id="required-precision",
         ),
         pytest.param(
             lambda: decode_binary_from_decimal(

@@ -35,8 +35,8 @@ from lossprobe.precision import (
 
 from conftest import (
     fraction_sig_wire,
+    mp_binary_batch_precisions,
     mp_logloss_wire,
-    mp_required_precision_binary,
     naive_auc,
 )
 
@@ -158,10 +158,10 @@ def test_build_rejects_nonpositive_batch():
         build_tuple_lookup(0, 2)
 
 
-@pytest.mark.parametrize("b,phi", [(1, 4), (9, 2), (13, 2)])
+@pytest.mark.parametrize("b,phi", [(13, 4), (9, 2), (13, 2)])
 def test_build_rejects_batches_past_the_curated_vector(b, phi):
-    # no curated vector at four digits; nine and thirteen points pass the
-    # two-digit pigeonhole cap but not the eight-point curated vector
+    # four digits take the twelve-point three-digit vector; nine and thirteen
+    # points pass the two-digit pigeonhole cap but not the eight-point vector
     with pytest.raises(ValidationError) as err:
         build_tuple_lookup(b, phi)
     assert f"{b} points at {phi} significant digits" in str(err.value)
@@ -177,7 +177,7 @@ def test_build_deterministic():
 @pytest.mark.parametrize("phi,size", [(1, 5), (2, 8), (3, 12)])
 def test_curated_vectors_and_all_prefixes_separate(phi, size):
     curated = curated_batch_vector(phi)
-    assert curated is not None and len(curated) == size
+    assert len(curated) == size
     assert all(0 < x < 1 for x in curated)
     for b in range(1, size + 1):
         lookup = build_tuple_lookup(b, phi)
@@ -185,8 +185,15 @@ def test_curated_vectors_and_all_prefixes_separate(phi, size):
         assert len(lookup.table) == 2**b  # exhaustively injective
 
 
-def test_no_curated_vector_above_three_digits():
-    assert curated_batch_vector(4) is None
+def test_curated_vector_serves_every_higher_precision():
+    # verified where it is used: every prefix of the three-digit vector
+    # separates at four digits too
+    for phi in range(4, 9):
+        assert curated_batch_vector(phi) == curated_batch_vector(3)
+    for b in range(1, 13):
+        assert len(build_tuple_lookup(b, 4).table) == 2**b
+    with pytest.raises(ValidationError):
+        curated_batch_vector(0)
 
 
 def test_curated_tuples_match_mpmath():
@@ -326,7 +333,7 @@ def test_plan_sixty_points_two_digits():
 def test_plan_prefers_binary_when_digits_allow():
     plan = plan_batches(100, 15)
     assert plan.method == "binary-decimal"
-    assert plan.batch_size == 44
+    assert plan.batch_size == 49
     assert plan.planned_queries == 3
     assert plan.bound == 2  # the formula bound is optimistic here
     assert all(batch.fill == () for batch in plan.batches)
@@ -355,16 +362,28 @@ def test_plan_partition_property():
 
 
 def test_plan_binary_batch_matches_a_linear_scan():
-    # phi 4-1300 has no curated vector and reaches the 4096-point cap at 1235
-    reference = mp_required_precision_binary(BINARY_DECIMAL_MAX_N)
-    for phi in range(4, 1301):
+    # the binary batch reaches the 4096-point cap at 1234 digits; the curated
+    # vector wins up to four
+    reference = mp_binary_batch_precisions(BINARY_DECIMAL_MAX_N)
+    for phi in range(1, 1301):
         best = 0
         for n, need in enumerate(reference, 1):
             if need > phi:
                 break
             best = n
         plan = plan_batches(10, phi)
-        assert (plan.method, plan.batch_size) == ("binary-decimal", best)
+        if phi <= 4:
+            size = len(curated_batch_vector(phi))
+            assert (plan.method, plan.batch_size) == ("tuple-table", size)
+            assert best < size
+        else:
+            assert (plan.method, plan.batch_size) == ("binary-decimal", best)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 11))
+def test_planned_queries_never_increase_with_phi(n, phi):
+    assert plan_batches(n, phi + 1).planned_queries <= plan_batches(n, phi).planned_queries
 
 
 @given(st.integers(1, 6), st.integers(1, 400))
@@ -392,7 +411,7 @@ def _hidden(n, seed):
         (60, 2, 8),
         (13, 3, 2),
         (1, 2, 1),
-        (10, 4, 2),   # binary-decimal batches of seven
+        (10, 4, 1),   # a ten-point prefix of the three-digit vector
         (50, 12, 2),  # binary-decimal batches of thirty-two
         (100, 15, 3),
     ],
