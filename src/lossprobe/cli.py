@@ -356,10 +356,9 @@ def _subprocess_demo(
         report = _attack(_RemoteCurator(proc, hidden, phi), n, mode, phi)
     finally:
         try:
-            if proc.stdin is not None:
-                proc.stdin.write("QUIT\n")
-                proc.stdin.flush()
-            proc.wait(timeout=10)
+            # QUIT, then EOF: the server is reaped once its stdout closes,
+            # where wait(timeout=...) would poll with doubling sleeps
+            proc.communicate("QUIT\n", timeout=10)
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()

@@ -23,7 +23,7 @@ import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import MAX_EMAX, Context, Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -583,4 +583,9 @@ def parse_decimal_score(text: str, phi: int, kind: ScoreKind) -> DecimalScore:
         raise ValidationError(
             f"score {text!r} carries {len(digits)} significant digits, expected {phi}"
         )
+    # no decimal context reaches past MAX_EMAX, and far beyond it Decimal()
+    # itself raises InvalidOperation
+    exponent = m.group(3).lstrip("-").lstrip("0")
+    if len(exponent) > len(str(MAX_EMAX)) or int(exponent or 0) > MAX_EMAX:
+        raise ValidationError(f"score {text!r} has an exponent past {MAX_EMAX}")
     return DecimalScore(digits=text, phi=phi, kind=kind)

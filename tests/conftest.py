@@ -6,6 +6,7 @@ floating point, AUC from literal pair counting.  Tests compare the
 package's integer pipelines against these.
 """
 
+import math
 import os
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
@@ -45,6 +46,22 @@ def naive_factor_over(value: int, primes) -> tuple[dict[int, int], int]:
             value //= p
             exponents[p] = exponents.get(p, 0) + 1
     return exponents, value
+
+
+@cache
+def trial_division_twins(count: int) -> tuple[int, ...]:
+    """The first count lower twins p >= 5 (p and p + 2 prime), by trial division alone."""
+
+    def prime(k: int) -> bool:
+        return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+    lowers: list[int] = []
+    k = 5
+    while len(lowers) < count:
+        if prime(k) and prime(k + 2):
+            lowers.append(k)
+        k += 2
+    return tuple(lowers)
 
 
 def naive_auc(entries, labels) -> Fraction | None:

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -454,6 +454,15 @@ def test_parse_decimal_score_rejections():
     for bad in ("", "4.1", "e-1", "4.1e", "-4.1e-1", "4.1E-1", "0.41"):
         with pytest.raises(ValidationError):
             parse_decimal_score(bad, 2, ScoreKind.LOGLOSS)
+
+
+def test_parse_decimal_score_bounds_the_exponent():
+    for exponent in (MAX_EMAX, -MAX_EMAX, "-000" + str(MAX_EMAX)):
+        assert parse_decimal_score(f"1.5e{exponent}", 2, ScoreKind.LOGLOSS).phi == 2
+    # past MAX_EMAX, Decimal() raises InvalidOperation; 5000 digits would trip int()
+    for exponent in (MAX_EMAX + 1, -MAX_EMAX - 1, 10**20, -(10**20), "9" * 5000):
+        with pytest.raises(ValidationError, match="exponent past"):
+            parse_decimal_score(f"1.5e{exponent}", 2, ScoreKind.LOGLOSS)
 
 
 def test_decimal_score_equality_is_string_equality():

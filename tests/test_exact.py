@@ -4,6 +4,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
+from decimal import MAX_EMAX
 from fractions import Fraction
 from functools import partial
 
@@ -24,7 +25,7 @@ from lossprobe.core import (
     logloss_decimal,
     parse_decimal_score,
 )
-from lossprobe.errors import DecodeError, PrecisionError, ValidationError
+from lossprobe.errors import DecodeError, LossProbeError, PrecisionError, ValidationError
 from lossprobe.exact import (
     BINARY_DECIMAL_MAX_N,
     BINARY_MAX_N,
@@ -501,6 +502,24 @@ def test_binary_decimal_out_of_range_exponent_detected():
         ll = parse_decimal_score(wire, phi, ScoreKind.LOGLOSS)
         with pytest.raises(DecodeError, match=f"no exponent of {n} points rounds to {wire}"):
             decode_binary_from_decimal(ll, n)
+
+
+@given(
+    st.text("0123456789", min_size=1, max_size=30).map(lambda d: "1" + d),
+    st.one_of(
+        st.integers(20, 10**40),  # every LL of 64 or fewer points is below 1e20
+        st.integers(-(10**40), -20),
+        st.integers(-3, 3).map(lambda k: MAX_EMAX + k),
+        st.integers(-3, 3).map(lambda k: -MAX_EMAX + k),
+    ),
+    st.integers(1, 64),
+)
+def test_binary_decimal_any_far_exponent_fails_typed(digits, exponent, n):
+    # a served LL line is outside input: it must end in a LossProbeError,
+    # never in an exception of the decimal module
+    wire = f"{digits[0]}.{digits[1:]}e{exponent}"
+    with pytest.raises(LossProbeError):
+        decode_binary_from_decimal(parse_decimal_score(wire, len(digits), ScoreKind.LOGLOSS), n)
 
 
 # multiclass construction

@@ -1,11 +1,14 @@
 """Prime utilities: dual-route primality, twin pairs, partial factoring."""
 
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lossprobe import primes
 from lossprobe.errors import ValidationError
+from lossprobe.exact import TWIN_MAX_N
 from lossprobe.primes import (
     Factorization,
     factor_over,
@@ -17,7 +20,7 @@ from lossprobe.primes import (
     twin_primes,
 )
 
-from conftest import naive_factor_over
+from conftest import naive_factor_over, trial_division_twins
 
 
 def test_sieve_and_miller_rabin_agree_to_ten_thousand():
@@ -34,6 +37,27 @@ def test_is_prime_refuses_past_its_deterministic_range():
     with pytest.raises(ValidationError):
         is_prime(composite + 2)
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
+@pytest.mark.parametrize(
+    "bases,composite",
+    # OEIS A014233: the least strong pseudoprime to the first k prime bases
+    [(1, 2047), (2, 1_373_653), (3, 25_326_001), (4, 3_215_031_751), (5, 2_152_302_898_747),
+     (6, 3_474_749_660_383), (8, 341_550_071_728_321), (11, 3_825_123_056_546_413_051)],
+)
+def test_is_prime_rejects_strong_pseudoprimes_to_fewer_bases(bases, composite):
+    # each composite fools the first `bases` witnesses, so a cut list would pass it
+    def strong_probable_prime(a):
+        d, r = composite - 1, 0
+        while d % 2 == 0:
+            d, r = d // 2, r + 1
+        x = pow(a, d, composite)
+        return x in (1, composite - 1) or any(
+            pow(x, 2**i, composite) == composite - 1 for i in range(1, r)
+        )
+
+    assert all(strong_probable_prime(a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)[:bases])
+    assert not is_prime(composite)
 
 
 def test_first_primes_head():
@@ -60,6 +84,78 @@ def test_twin_table_members_are_all_twin_primes():
         assert is_prime(p) and is_prime(p + 2)
     # ascending and distinct
     assert list(table.primes) == sorted(set(table.primes))
+
+
+def test_first_primes_match_the_sieve():
+    sieved = tuple(sieve_primes(20_000))  # 2262 primes
+    for n in range(1, 2001):
+        assert first_primes.__wrapped__(n) == sieved[:n]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3000))
+def test_twin_table_matches_trial_division(n):
+    assert twin_primes.__wrapped__(n).primes == trial_division_twins(3000)[:n]
+
+
+def test_twin_sieve_bound_covers_the_nth_pair():
+    # sized once: the estimate alone reaches the n-th pair, no retry needed
+    reference = trial_division_twins(3000)
+    for n in range(1, 3001):
+        assert primes._twin_sieve_bound(n) >= reference[n - 1] + 2
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(primes, name)
+
+    def spy(arg):
+        calls.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(primes, name, spy)
+    return calls
+
+
+def test_cold_twin_table_sieves_once_and_rechecks_every_entry(monkeypatch):
+    sieves, checks = _spy(monkeypatch, "_sieve"), _spy(monkeypatch, "is_prime")
+    lowers = twin_primes.__wrapped__(500).primes
+    assert len(sieves) == 1
+    # the independent Miller-Rabin route sees every p and p + 2, and nothing else
+    assert checks == [q for p in lowers for q in (p, p + 2)]
+
+
+def test_twin_table_retries_a_short_sieve(monkeypatch):
+    monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 16)
+    sieves = _spy(monkeypatch, "_sieve")
+    # 2, 4, 6 and 9 pairs end below 16, 32, 64 and 128; the fourth doubling suffices
+    assert twin_primes.__wrapped__(10).primes == trial_division_twins(10)
+    assert sieves == [16, 32, 64, 128, 256]
+    monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 8)
+    with pytest.raises(ValidationError, match="fewer than 10 pairs below 128"):
+        twin_primes.__wrapped__(10)
+
+
+def test_sieve_sized_once_reaches_the_last_table_entry(monkeypatch):
+    # the twelve-base re-check is pinned above; here only the sieve runs
+    monkeypatch.setattr(primes, "is_prime", lambda k: True)
+    sieves = _spy(monkeypatch, "_sieve")
+    lowers = twin_primes.__wrapped__(TWIN_MAX_N).primes
+    assert len(sieves) == 1
+    assert lowers[-1] == 18_409_541
+
+
+def test_twin_table_memory_stays_near_its_flags(monkeypatch):
+    # a list and a set of every prime below the bound once peaked at 12.1 MB;
+    # the re-check keeps nothing past a call, and traced it takes seconds
+    monkeypatch.setattr(primes, "is_prime", lambda k: True)
+    tracemalloc.start()
+    try:
+        twin_primes.__wrapped__(7000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.1e6 / 2
 
 
 @given(
