@@ -23,7 +23,7 @@ import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from decimal import MAX_EMAX, Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -282,9 +282,12 @@ def round_fraction_sig(value: Fraction, phi: int) -> str:
     if value == 0:
         return _format_sci("0" * phi, 0)
     num, den = value.numerator, value.denominator
-    # decimal exponent of the leading digit: 10^e <= value < 10^(e+1)
-    e = len(str(num)) - len(str(den))
-    if abs(num * 10 ** max(0, -e)) < den * 10 ** max(0, e):
+    # decimal exponent of the leading digit: 10^e <= value < 10^(e+1).  Bit
+    # lengths put log10(value) within log10(2) of this estimate (0.30103 is
+    # log10(2) to five places), and str(num) would trip the interpreter's
+    # digit cap on wide parts; the loops make it exact
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while num * 10 ** max(0, -e) < den * 10 ** max(0, e):
         e -= 1
     while num * 10 ** max(0, -(e + 1)) >= den * 10 ** max(0, e + 1):
         e += 1
@@ -302,18 +305,26 @@ def round_fraction_sig(value: Fraction, phi: int) -> str:
     return _format_sci(str(q), e)
 
 
-def _round_decimal_sig(value: Decimal, phi: int) -> str:
-    ctx = Context(prec=phi, rounding=ROUND_HALF_EVEN)
-    rounded = ctx.plus(value)
-    sign, digits, exp = rounded.as_tuple()
-    if sign:
-        raise ValidationError("negative values are not produced by these scores")
-    text = "".join(str(d) for d in digits)
-    if text == "0":
-        return _format_sci("0" * phi, 0)
-    text = text.ljust(phi, "0")
-    exponent = exp + len(digits) - 1
-    return _format_sci(text, exponent)
+# format() rounds a Decimal with the thread's rounding mode, so that mode is pinned
+_HALF_EVEN = Context(rounding=ROUND_HALF_EVEN)
+# adds and subtracts exactly: no sum of two finite Decimals needs more digits
+_EXACT = Context(prec=MAX_PREC)
+
+
+def _bracket_wire(lo: float | Decimal, hi: float | Decimal, phi: int) -> str | None:
+    """The phi-digit wire of every value in [lo, hi], or None when its ends round apart.
+
+    format() rounds a double or a Decimal half-even at its exact value, and
+    rounding is monotone, so ends that round alike pin everything between.
+    This is the one rule behind every log-loss wire, served or looked up.
+    """
+    spec = f".{phi - 1}e"
+    with localcontext(_HALF_EVEN) if isinstance(lo, Decimal) else nullcontext():
+        low = format(lo, spec)
+        if low != format(hi, spec):
+            return None
+    mantissa, _, exponent = low.partition("e")
+    return f"{mantissa}e{int(exponent)}"  # e-01 and e+0 as e-1 and e0
 
 
 @lru_cache
@@ -423,24 +434,25 @@ def _rounded_ll(
     """n * LL rounded half-even to phi significant digits, from ln_at(sig).
 
     terms, if given, are two doubles, each within 2^-50 of its own size of
-    one of two terms summing to n * LL; if their bracket rounds to one
-    value, that is the answer.  Otherwise ln_at(sig) returns n * LL to at
-    least sig significant digits.  LL is bracketed by that error bound; when
-    the two ends of the bracket round apart, sig doubles.  Every score here
-    is ln of a rational other than 1, over n, so LL is transcendental and
-    never sits exactly on a tie: the loop ends, and the rounding is exact.
+    one of two terms summing to n * LL; if their bracket has one wire, that
+    is the answer.  Otherwise ln_at(sig) returns n * LL to at least sig
+    significant digits.  LL is bracketed by that error bound; when the two
+    ends of the bracket round apart, sig doubles.  _bracket_wire decides
+    every bracket.  Every score here is ln of a rational other than 1, over
+    n, so LL is transcendental and never sits exactly on a tie: the loop
+    ends, and the rounding is exact.
     """
-    near = Context(prec=phi, rounding=ROUND_HALF_EVEN)
     if terms is not None:
         a, b = terms
         # a + b is within 2^-50 (1 + 2^-49)(|a| + |b|) of n * LL, and the sum and
         # the division round within 2^-53 (|a| + |b|) / n each, so |ll - LL| is
-        # under 2^-49 (|a| + |b|) / n, below the margin after its own roundings
-        ll = Decimal((a + b) / n)
-        margin = Decimal((abs(a) + abs(b)) / n * 2.0**-48)
-        lo = near.subtract(ll, margin)
-        if lo == near.add(ll, margin):
-            return DecimalScore(_round_decimal_sig(lo, phi), phi, ScoreKind.LOGLOSS)
+        # under 2^-49 (|a| + |b|) / n; the margin's other half covers rounding
+        # ll -+ margin, each within 2^-53 (|ll| + margin)
+        ll = (a + b) / n
+        margin = (abs(a) + abs(b)) / n * 2.0**-48
+        wire = _bracket_wire(ll - margin, ll + margin, phi)
+        if wire is not None:
+            return DecimalScore(wire, phi, ScoreKind.LOGLOSS)
     sig = 2 * phi + 10
     while True:
         ln_value = ln_at(sig)
@@ -448,11 +460,10 @@ def _rounded_ll(
             ctx.prec = max(sig, ln_value.adjusted() + sig)
             ll = ln_value / n
         # sig good digits from ln_at, at least sig from the division
-        margin = ll.scaleb(2 - sig)
-        lo = near.subtract(ll, margin)  # exact, then one rounding to phi
-        if lo == near.add(ll, margin):  # rounding is monotone
-            digits = _round_decimal_sig(lo, phi)
-            return DecimalScore(digits=digits, phi=phi, kind=ScoreKind.LOGLOSS)
+        margin = _EXACT.scaleb(ll, 2 - sig)
+        wire = _bracket_wire(_EXACT.subtract(ll, margin), _EXACT.add(ll, margin), phi)
+        if wire is not None:
+            return DecimalScore(wire, phi, ScoreKind.LOGLOSS)
         sig *= 2
 
 

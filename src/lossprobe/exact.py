@@ -62,8 +62,7 @@ def build_twin_prime_vector(n: int) -> PredictionVector:
         raise ValidationError("need at least one datapoint")
     if n > TWIN_MAX_N:
         raise ValidationError(f"twin-prime construction capped at n = {TWIN_MAX_N}")
-    table = twin_primes(n)
-    return PredictionVector(tuple(Fraction(p, p + 2) for p in table.primes))
+    return PredictionVector(tuple(Fraction(p, p + 2) for p in twin_primes(n)))
 
 
 def _min_upper_bits(k: int) -> float:
@@ -136,7 +135,7 @@ def decode_twin_prime_value(value: Fraction) -> Labeling:
         range(1, TWIN_MAX_N + 1), numerator.bit_length(), key=_min_upper_bits
     )
     # a power-of-two size lets values of nearby sizes share a cached table
-    lowers = twin_primes(min(1 << max(size - 1, 0).bit_length(), TWIN_MAX_N)).primes
+    lowers = twin_primes(min(1 << max(size - 1, 0).bit_length(), TWIN_MAX_N))
     uppers = tuple(p + 2 for p in lowers)
     # consecutive sums differ by log2 7 or more, so half a bit absorbs float error
     n = bisect_right(list(accumulate(map(math.log2, uppers))), math.log2(numerator) + 0.5)
@@ -151,7 +150,7 @@ def decode_twin_prime(score: ExactScore) -> Labeling:
     numerator = score.value.numerator
     # too few bits for n uppers rules n out before any table is built
     if n <= TWIN_MAX_N and _min_upper_bits(n) < numerator.bit_length():
-        lowers = twin_primes(n).primes
+        lowers = twin_primes(n)
         if numerator == tree_product([p + 2 for p in lowers]):
             return _twin_labeling(score.value.denominator, lowers)
     # not n uppers: decoding with n inferred names the fault or the n encoded

@@ -40,6 +40,7 @@ from .core import (
 from .errors import ValidationError
 from .exact import _CONSTRUCTIONS
 from .precision import AttackPlan, batched_inference
+from .primes import is_prime
 
 __all__ = [
     "AttackMode",
@@ -297,8 +298,8 @@ def perturb_prime(score: ExactScore, prime: int, delta: int) -> ExactScore:
     """
     if delta not in (-1, 1):
         raise ValidationError("tampering model shifts an exponent by one")
-    if prime < 2:
-        raise ValidationError("need a prime to perturb")
+    if not is_prime(prime):
+        raise ValidationError(f"{prime} is not a prime")
     return ExactScore(value=score.value * Fraction(prime) ** delta, n=score.n)
 
 

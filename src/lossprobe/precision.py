@@ -21,9 +21,9 @@ use it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -33,9 +33,8 @@ from .core import (
     Labeling,
     PredictionVector,
     _auc_value,
-    _ln_positive_int,
+    _bracket_wire,
     _rounded_auc,
-    _round_decimal_sig,
     logloss_decimal,
 )
 from .errors import LookupBuildError, DecodeError, ValidationError
@@ -195,36 +194,32 @@ def _guard_batch_size(b: int, phi: int) -> None:
 
 
 def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
-    """Map rounded tuples to labelings, from 2b logarithms for all 2^b.
+    """Map rounded tuples to labelings, from 3b double logarithms for all 2^b.
 
     Labeling ``mask`` (bit i labels point i) adds one per-point step to the
     log-loss sum and the doubled midrank sum of the mask without its lowest
-    bit.  AUC is exact; an LL within a margin of a half-even boundary is
-    rescored by logloss_decimal, so keys are what an oracle puts on the
-    wire.  Raises LookupBuildError naming the first two labelings, in mask
-    order, that round to the same tuple.
+    bit.  AUC is exact.  Each LL is bracketed by the error bound below and
+    rounded by core._bracket_wire, the rule the curator rounds by; a bracket
+    whose ends round apart is rescored by logloss_decimal, so keys are what
+    an oracle puts on the wire.  Raises LookupBuildError naming the first
+    two labelings, in mask order, that round to the same tuple.
     """
     vec = PredictionVector(entries)
     b = len(vec)
-    # each quantized term is within 10^-(sig + 4) of the truth and
-    # _ln_positive_int's truncation far below that, so the margin of
-    # 10^(1 - sig) * (LL + 1) bounds the sum's error with room to spare
-    sig = 2 * phi + 10
-    width = len(str(max(x.denominator for x in entries).bit_length()))
-    wide = Context(prec=sig + width + 8)  # ln q < bitlen(q) < 10^width
-    with localcontext(wide):  # sums of quantized terms are exact here
-        quantum = Decimal(1).scaleb(-sig - 4)
-
-        def term(q: int, part: int) -> Decimal:  # -ln(part / q) / b
-            lq, lp = _ln_positive_int(q, wide.prec), _ln_positive_int(part, wide.prec)
-            return ((lq - lp) / b).quantize(quantum)
-
-        zero = [term(x.denominator, x.denominator - x.numerator) for x in entries]
-        one = [term(x.denominator, x.numerator) for x in entries]
-        deltas = [c - z for z, c in zip(zero, one)]
-        sums, ranks = [sum(zero)], [0]
-        margin = (sum(map(max, zero, one)) + 1).scaleb(1 - sig)
-    near = Context(prec=phi, rounding=ROUND_HALF_EVEN)
+    logs = [
+        (math.log(x.denominator), math.log(x.denominator - x.numerator), math.log(x.numerator))
+        for x in entries
+    ]
+    # A labeling's sum of -ln(part / q) is at most sum ln q.  Each log is
+    # within 2^-51 of its size (see logloss_decimal), and each of the 2b
+    # differences, the b - 1 additions of the first sum, the at most b steps
+    # to any other, the division by b and each bracket end rounds within
+    # 2^-53 of a value no larger than sum ln q.  So an end misses its mark
+    # by under 2^-49 * width, width the sum of all 3b logs: half the margin.
+    zero = [lq - l0 for lq, l0, _ in logs]
+    deltas = [l0 - l1 for _, l0, l1 in logs]  # one step minus zero step
+    margin = sum(map(sum, logs)) * 2.0**-48
+    sums, ranks = [sum(zero)], [0]
     # doubled midrank: 2 * (points below) + (points tied, itself included) + 1
     rank2 = [2 * sum(y < x for y in entries) + entries.count(x) + 1 for x in entries]
 
@@ -236,15 +231,14 @@ def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
     for mask in range(1 << b):
         if mask:
             rest, low = mask & (mask - 1), (mask & -mask).bit_length() - 1
-            sums.append(wide.add(sums[rest], deltas[low]))
+            sums.append(sums[rest] + deltas[low])
             ranks.append(ranks[rest] + rank2[low])
         bits = tuple((mask >> i) & 1 for i in range(b))
-        lo = near.subtract(sums[mask], margin)
-        if lo == near.add(sums[mask], margin):  # rounding is monotone
-            ll = _round_decimal_sig(lo, phi)
-        else:
-            ll = logloss_decimal(vec, Labeling(bits), phi).wire()
-        key = (ll, auc_wire(ranks[mask], mask.bit_count()))
+        ll = sums[mask] / b
+        wire = _bracket_wire(ll - margin, ll + margin, phi)
+        if wire is None:
+            wire = logloss_decimal(vec, Labeling(bits), phi).wire()
+        key = (wire, auc_wire(ranks[mask], mask.bit_count()))
         other = table.get(key)
         if other is not None:
             raise LookupBuildError(

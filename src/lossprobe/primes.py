@@ -78,20 +78,6 @@ def first_primes(n: int) -> tuple[int, ...]:
     return tuple(sieve_primes(limit)[:n])
 
 
-@dataclass(frozen=True)
-class TwinPrimeTable:
-    """First n lower twin-pair members >= 5, ascending (excludes the (3, 5) pair)."""
-
-    primes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = 0
-        for p in self.primes:
-            if p < 5 or p <= prev:
-                raise ValidationError("twin table must be ascending and start at 5")
-            prev = p
-
-
 def _twin_sieve_bound(n: int) -> int:
     """A sieve bound whose Hardy-Littlewood count 1.32 x / ln^2 x reaches n + 1 twin pairs.
 
@@ -111,8 +97,8 @@ _TWIN_GAP = re.compile(b"\x01\x00\x01")  # p and p + 2 prime; p + 1 is even
 
 
 @lru_cache(maxsize=8)
-def twin_primes(n: int) -> TwinPrimeTable:
-    """Table of the first n twin-pair lower members p >= 5 with p + 2 prime."""
+def twin_primes(n: int) -> tuple[int, ...]:
+    """The first n twin-pair lower members p >= 5 with p + 2 prime, ascending."""
     if n < 1:
         raise ValidationError("twin-prime table size must be >= 1")
     limit = _twin_sieve_bound(n)
@@ -124,12 +110,11 @@ def twin_primes(n: int) -> TwinPrimeTable:
         limit *= 2
     else:
         raise ValidationError(f"the twin sieve found fewer than {n} pairs below {limit // 2}")
-    table = TwinPrimeTable(tuple(lowers))
-    for p in table.primes:
+    for p in lowers:
         # independent route: the sieve result must survive Miller-Rabin
         if not (is_prime(p) and is_prime(p + 2)):
             raise ValidationError(f"sieve produced a non-twin entry {p}")
-    return table
+    return tuple(lowers)
 
 
 def _product_tree(values: Sequence[int]) -> list[list[int]]:

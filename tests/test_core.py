@@ -162,6 +162,24 @@ def test_round_fraction_sig_matches_decimal_reference(value, phi):
     assert round_fraction_sig(value, phi) == fraction_sig_wire(value, phi)
 
 
+@pytest.mark.parametrize(
+    "value,phi,expected",
+    [
+        (F(10**5000, 3), 3, "3.33e4999"),
+        (F(2, 3 * 10**5000), 3, "6.67e-5001"),
+        (F(10**5001 - 1, 10**5001), 2, "1.0e0"),  # carry into the next decade
+        (F(7**6000, 3), 4, None),
+        (F(3, 7**6000), 4, None),
+        (F(11**5000, 7**6000), 5, None),
+    ],
+)
+def test_round_fraction_sig_past_the_digit_cap(value, phi, expected):
+    # parts of 5000 digits or more, past the interpreter's default cap of 4300
+    wire = round_fraction_sig(value, phi)
+    assert wire == fraction_sig_wire(value, phi)
+    assert expected is None or wire == expected
+
+
 def test_round_fraction_sig_rejects_negative():
     with pytest.raises(ValidationError):
         round_fraction_sig(F(-1, 2), 2)
@@ -276,7 +294,7 @@ def test_logloss_decimal_path_only_next_to_a_tie(monkeypatch):
                 logloss_decimal(vec, Labeling(tuple((mask >> i) & 1 for i in range(b))), phi)
     # twin and random entry lists like the served ones, at phi 3
     rng = random.Random(15)
-    twins = twin_primes(1024).primes
+    twins = twin_primes(1024)
     for _ in range(300):
         size = rng.randint(8, 64)
         start = rng.randrange(len(twins) - size)

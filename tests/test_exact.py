@@ -135,7 +135,7 @@ def test_twin_decode_rejects_tampered_values(value):
 # an honest n = 40 score, tampered in ways only a whole-table check meets
 _N = 40
 _BITS = tuple(i * 5 % 3 % 2 for i in range(_N))
-_LOWERS = twin_primes(_N + 4).primes
+_LOWERS = twin_primes(_N + 4)
 _HONEST = exact_score(build_twin_prime_vector(_N), Labeling(_BITS)).value
 _ONE = _LOWERS[_BITS.index(1)]
 
@@ -195,7 +195,7 @@ def test_twin_decode_reuses_the_attackers_table():
 
 def test_bare_twin_decodes_share_tables():
     # honest values off one table, so the decodes are the only table demand
-    lowers = twin_primes(300).primes
+    lowers = twin_primes(300)
     rng = random.Random(5)
     cases = []
     for _ in range(300):

@@ -196,6 +196,16 @@ def test_perturb_prime_validation():
         perturb_prime(base, 1, 1)
 
 
+@pytest.mark.parametrize("composite", [4, 9, 35, 7 * 13])
+def test_perturb_prime_rejects_a_composite(composite):
+    # the tampering model shifts one prime's exponent; a composite shifts several
+    base = curator_oracle(MembershipVector(Labeling((1, 0, 1)))).exact_response(
+        build_twin_prime_vector(3).entries
+    )
+    with pytest.raises(ValidationError, match="not a prime"):
+        perturb_prime(base, composite, 1)
+
+
 def test_perturb_prime_changes_the_value():
     base = curator_oracle(MembershipVector(Labeling((1, 0, 1)))).exact_response(
         build_twin_prime_vector(3).entries
@@ -208,8 +218,8 @@ def test_perturb_prime_changes_the_value():
 
 
 def test_every_single_prime_perturbation_is_detected():
-    table = twin_primes(14)
-    relevant = [2, *table.primes, *(p + 2 for p in table.primes)]
+    lowers = twin_primes(14)
+    relevant = [2, *lowers, *(p + 2 for p in lowers)]
     for seed in range(12):
         n = 3 + seed
         hidden = MembershipVector.random(n, seed)

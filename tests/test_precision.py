@@ -1,6 +1,6 @@
 """Fixed-precision channel: capacity bounds, lookup tables, batched recovery."""
 
-from decimal import Decimal, localcontext
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,7 +20,7 @@ from lossprobe.errors import (
     LookupBuildError,
     ValidationError,
 )
-from lossprobe.exact import BINARY_DECIMAL_MAX_N
+from lossprobe.exact import BINARY_DECIMAL_MAX_N, binary_decimal_response
 from lossprobe.mia import MembershipVector, curator_oracle
 from lossprobe.precision import (
     batched_inference,
@@ -246,18 +246,51 @@ _wide = st.integers(3, 9).flatmap(
 )
 
 
+def _minus_ln_sum(entries) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return sum((-(Decimal(x.numerator) / x.denominator).ln() for x in entries), Decimal(0))
+
+
+def _tie_offset(tie: Decimal, offset: Decimal, head: list) -> Fraction:
+    """The entry x whose -ln x completes head's -ln sum to b * (tie + offset), b = len(head) + 1.
+
+    Labeling every point 1 then gives an LL of tie + offset, to 60 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return F((_minus_ln_sum(head) - (len(head) + 1) * (tie + offset)).exp())
+
+
+@st.composite
+def _near_tie(draw, phi: int, b: int) -> list:
+    """b entries whose all-ones LL lies 1e-9 to 1e-30 off a half-even tie at phi digits."""
+    head = draw(st.lists(_wide, min_size=b - 1, max_size=b - 1))
+    mantissa = draw(st.integers(10 ** (phi - 1), 10**phi - 1))
+    exponent = draw(st.integers(-3, 1))
+    if head:  # a leading digit above the head's mean keeps the last -ln x positive
+        exponent = max(exponent, (_minus_ln_sum(head) / b).adjusted() + 1)
+    tie = (Decimal(2 * mantissa + 1) / 2).scaleb(exponent - phi + 1)
+    offset = Decimal(draw(st.integers(-999, 999)) or 1).scaleb(exponent - draw(st.integers(9, 30)))
+    return head + [_tie_offset(tie, offset, head)]
+
+
 @st.composite
 def _batches(draw):
-    phi = draw(st.integers(1, 6))
-    b = draw(st.integers(1, min(10, max_unique_batch(phi))))
-    source = draw(st.sampled_from([_tie_prone, _wide, _wide]))
+    phi = draw(st.integers(1, 17))
+    # from about 13 digits doubles cannot decide, so every labeling is
+    # rescored: the batches stay small there
+    b = draw(st.integers(1, min(10 if phi < 13 else 3, max_unique_batch(phi))))
+    source = draw(st.sampled_from([_tie_prone, _wide, _wide, None]))
+    if source is None:
+        return draw(_near_tie(phi, b)), phi
     entries = draw(st.lists(source, min_size=b, max_size=b))
     if b > 1 and draw(st.sampled_from([False, False, True])):
         entries[-1] = entries[0]  # a tie: the pair's two swaps must collide
     return entries, phi
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_batches())
 def test_lookup_table_matches_per_labeling_scoring(case):
     entries, phi = case
@@ -296,6 +329,34 @@ def test_lookup_rescores_an_ll_at_a_rounding_boundary(above, rescored):
     assert table[(wire, "ND")] == (1,)
 
 
+@pytest.mark.parametrize("rounding", [ROUND_HALF_UP, ROUND_DOWN])
+def test_wires_ignore_the_thread_decimal_context(rounding):
+    # a caller's decimal context, three digits rounding up at halves or down,
+    # must not reach a wire: near-tie log losses (the Decimal stage), binary
+    # responses past a double (n = 2048) and lookup tables keep the default
+    # context's wires
+    near_ties = []
+    for tie, offset, phi in (("0.25", "1e-17", 1), ("0.25", "-1e-17", 1),
+                             ("1.23455", "1e-17", 5), ("3.45645", "-2e-16", 5)):
+        near_ties.append((_tie_offset(Decimal(tie), Decimal(offset), []), phi))
+    binary = [Labeling((1, 0) * 1024), Labeling((0,) * 2047 + (1,))]
+    vectors = [([x], phi) for x, phi in near_ties] + [(curated_batch_vector(2), 2)]
+
+    def wires():
+        return (
+            [logloss_decimal(PredictionVector((x,)), Labeling((1,)), phi).wire()
+             for x, phi in near_ties],
+            [binary_decimal_response(labels, phi) for labels in binary for phi in (1, 4, 9)],
+            [tuple_lookup_for(entries, phi).table for entries, phi in vectors],
+        )
+
+    expected = wires()
+    assert expected[0] == ["3e-1", "2e-1", "1.2346e0", "3.4564e0"]
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 3, rounding
+        assert wires() == expected
+
+
 @pytest.mark.parametrize("phi", [1, 2, 3])
 def test_curated_verification_rescores_no_labeling(phi, rescored):
     lookup = tuple_lookup_for(curated_batch_vector(phi), phi)
@@ -305,8 +366,8 @@ def test_curated_verification_rescores_no_labeling(phi, rescored):
 
 @pytest.mark.parametrize("phi", [1, 2])
 def test_lookup_table_with_wide_denominators(phi):
-    # the curated vector moved by 3^-1000: 1585 bits per entry or more, so
-    # the per-point logs take core._ln_positive_int's top-slice route
+    # the curated vector moved by 3^-1000: 1585 bits per entry or more, past
+    # a double's range, so math.log takes its mantissa-and-exponent route
     wide = 3**1000
     entries = [F(x.numerator * wide + 1, x.denominator * wide) for x in curated_batch_vector(phi)]
     assert tuple_lookup_for(entries, phi).table == _scored_one_by_one(entries, phi)

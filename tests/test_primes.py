@@ -70,20 +70,19 @@ def test_first_primes_requires_positive_count():
 
 
 def test_twin_table_starts_at_five_seven(twin_pairs_100):
-    table = twin_primes(len(twin_pairs_100))
-    for (lo, hi), p in zip(twin_pairs_100, table.primes):
+    for (lo, hi), p in zip(twin_pairs_100, twin_primes(len(twin_pairs_100))):
         assert p == lo
         assert is_prime(p) and is_prime(p + 2)
         assert p + 2 == hi
 
 
 def test_twin_table_members_are_all_twin_primes():
-    table = twin_primes(200)
-    assert len(table.primes) == 200
-    for p in table.primes:
+    lowers = twin_primes(200)
+    assert len(lowers) == 200
+    for p in lowers:
         assert is_prime(p) and is_prime(p + 2)
     # ascending and distinct
-    assert list(table.primes) == sorted(set(table.primes))
+    assert list(lowers) == sorted(set(lowers))
 
 
 def test_first_primes_match_the_sieve():
@@ -95,7 +94,7 @@ def test_first_primes_match_the_sieve():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3000))
 def test_twin_table_matches_trial_division(n):
-    assert twin_primes.__wrapped__(n).primes == trial_division_twins(3000)[:n]
+    assert twin_primes.__wrapped__(n) == trial_division_twins(3000)[:n]
 
 
 def test_twin_sieve_bound_covers_the_nth_pair():
@@ -119,7 +118,7 @@ def _spy(monkeypatch, name):
 
 def test_cold_twin_table_sieves_once_and_rechecks_every_entry(monkeypatch):
     sieves, checks = _spy(monkeypatch, "_sieve"), _spy(monkeypatch, "is_prime")
-    lowers = twin_primes.__wrapped__(500).primes
+    lowers = twin_primes.__wrapped__(500)
     assert len(sieves) == 1
     # the independent Miller-Rabin route sees every p and p + 2, and nothing else
     assert checks == [q for p in lowers for q in (p, p + 2)]
@@ -129,7 +128,7 @@ def test_twin_table_retries_a_short_sieve(monkeypatch):
     monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 16)
     sieves = _spy(monkeypatch, "_sieve")
     # 2, 4, 6 and 9 pairs end below 16, 32, 64 and 128; the fourth doubling suffices
-    assert twin_primes.__wrapped__(10).primes == trial_division_twins(10)
+    assert twin_primes.__wrapped__(10) == trial_division_twins(10)
     assert sieves == [16, 32, 64, 128, 256]
     monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 8)
     with pytest.raises(ValidationError, match="fewer than 10 pairs below 128"):
@@ -140,7 +139,7 @@ def test_sieve_sized_once_reaches_the_last_table_entry(monkeypatch):
     # the twelve-base re-check is pinned above; here only the sieve runs
     monkeypatch.setattr(primes, "is_prime", lambda k: True)
     sieves = _spy(monkeypatch, "_sieve")
-    lowers = twin_primes.__wrapped__(TWIN_MAX_N).primes
+    lowers = twin_primes.__wrapped__(TWIN_MAX_N)
     assert len(sieves) == 1
     assert lowers[-1] == 18_409_541
 
