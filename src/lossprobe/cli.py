@@ -343,6 +343,12 @@ def _subprocess_demo(
     n: int, mode: AttackMode, seed: int, phi: int | None
 ) -> AttackReport:
     """run_demo's attack, against a curator served by `oracle-serve`."""
+    if mode is AttackMode.EXACT_BINARY and n > BINARY_WIRE_MAX_N:
+        # refused before the server starts: the entries alone outgrow the pipe
+        raise ValidationError(
+            f"binary entries past n = {BINARY_WIRE_MAX_N} are walls of digits on the wire; "
+            "run this attack with --transport inproc"
+        )
     hidden = MembershipVector.random(n, seed)
     with tempfile.NamedTemporaryFile("w", suffix=".labels", delete=False) as handle:
         handle.write(hidden.bits.to_string() + "\n")

@@ -23,7 +23,7 @@ import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, ROUND_HALF_EVEN, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -267,42 +267,30 @@ class DecimalScore:
         return "ND" if self.kind is ScoreKind.AUC_NOT_DEFINED else self.digits
 
 
-def _format_sci(digits: str, exponent: int) -> str:
-    """Normalized scientific notation with a fixed digit count."""
-    mantissa = digits[0] if len(digits) == 1 else f"{digits[0]}.{digits[1:]}"
-    return f"{mantissa}e{exponent}"
-
-
 def round_fraction_sig(value: Fraction, phi: int) -> str:
-    """Round a nonnegative rational to phi significant digits, half-even, exactly."""
+    """Round a nonnegative rational to phi significant digits, half-even, exactly.
+
+    Decimal division is correctly rounded: the exact quotient of the two
+    parts is rounded once, to the context's precision by its rounding, at
+    any width (no str() of a part, so no digit cap), and _bracket_wire
+    writes it.  Decimal(0) would format with a shifted exponent, so zero
+    is written from a double.
+    """
     if phi < 1:
         raise ValidationError("need at least one significant digit")
-    if value < 0:
-        raise ValidationError("negative values are not produced by these scores")
-    if value == 0:
-        return _format_sci("0" * phi, 0)
     num, den = value.numerator, value.denominator
-    # decimal exponent of the leading digit: 10^e <= value < 10^(e+1).  Bit
-    # lengths put log10(value) within log10(2) of this estimate (0.30103 is
-    # log10(2) to five places), and str(num) would trip the interpreter's
-    # digit cap on wide parts; the loops make it exact
-    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
-    while num * 10 ** max(0, -e) < den * 10 ** max(0, e):
-        e -= 1
-    while num * 10 ** max(0, -(e + 1)) >= den * 10 ** max(0, e + 1):
-        e += 1
-    shift = phi - 1 - e
-    if shift >= 0:
-        q, r = divmod(num * 10**shift, den)
-    else:
-        q, r = divmod(num, den * 10**-shift)
-        den = den * 10**-shift
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
-    if q == 10**phi:  # rounding carried into the next decade
-        q //= 10
-        e += 1
-    return _format_sci(str(q), e)
+    if num < 0:
+        raise ValidationError("negative values are not produced by these scores")
+    if num == 0:
+        return _bracket_wire(0.0, 0.0, phi)
+    quotient = _sig_context(phi).divide(Decimal(num), Decimal(den))
+    return _bracket_wire(quotient, quotient, phi)
+
+
+@lru_cache
+def _sig_context(phi: int) -> Context:
+    """phi digits, half-even, over every exponent decimal can hold; one per phi."""
+    return Context(prec=phi, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # format() rounds a Decimal with the thread's rounding mode, so that mode is pinned
@@ -316,7 +304,8 @@ def _bracket_wire(lo: float | Decimal, hi: float | Decimal, phi: int) -> str | N
 
     format() rounds a double or a Decimal half-even at its exact value, and
     rounding is monotone, so ends that round alike pin everything between.
-    This is the one rule behind every log-loss wire, served or looked up.
+    This is the one rule that writes every wire, log loss or AUC, served or
+    looked up; an AUC comes here already rounded, as a bracket of one point.
     """
     spec = f".{phi - 1}e"
     with localcontext(_HALF_EVEN) if isinstance(lo, Decimal) else nullcontext():

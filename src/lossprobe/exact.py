@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -188,7 +188,21 @@ def decode_binary(score: ExactScore) -> Labeling:
     exponent = denominator.bit_length() - 1
     if exponent >= expected_bits:
         raise DecodeError(f"denominator exponent {exponent} needs more than {n} points")
-    return Labeling(tuple((exponent >> i) & 1 for i in range(n)))
+    return _mask_labeling(exponent, n)
+
+
+# A labeling and its bitmask N = sum l_i 2^(i-1) meet in N's binary digits,
+# l_n first: one conversion each way instead of a shift per point.
+_BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bitmask(labels: Labeling) -> int:
+    return int(bytes(labels.bits[::-1]).translate(_BITS_TO_DIGITS), 2)
+
+
+def _mask_labeling(mask: int, n: int) -> Labeling:
+    return Labeling(tuple(format(mask, f"0{n}b").encode()[::-1].translate(_DIGITS_TO_BITS)))
 
 
 def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
@@ -249,7 +263,7 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
         raise PrecisionError(
             f"{phi} digits: exponents {', '.join(map(str, matches))} all round to {ll.digits}"
         )
-    return Labeling(tuple((matches[0] >> i) & 1 for i in range(n)))
+    return _mask_labeling(matches[0], n)
 
 
 def _binary_ll(n: int, exponent: int, phi: int) -> DecimalScore:
@@ -268,12 +282,15 @@ def _binary_batch_fits(b: int, phi: int) -> bool:
     """decode_binary_from_decimal's rule in closed form, for b points at phi digits.
 
     Adjacent exponents' LLs are ln 2 / b apart; when that exceeds one unit in
-    the phi-th digit of the top LL, C(b)/b, no two share a wire.
+    the phi-th digit of the top LL, C(b)/b, no two share a wire.  That unit
+    is 10^(top.adjusted() + 1 - phi), and ln 2 / b is never a power of ten,
+    so the leading-digit places decide: no Decimal is built at the unit's
+    exponent, which scaleb refuses past about 2 * 10^6 digits.
     """
     with localcontext() as ctx:
         ctx.prec = 30
         top = _binary_log(b, 0, 20) / b
-        return _ln2(30) / b > Decimal(1).scaleb(top.adjusted() + 1 - phi)
+        return (_ln2(30) / b).adjusted() > top.adjusted() - phi
 
 
 def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, DecimalScore]:
@@ -292,10 +309,10 @@ def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, D
         raise ValidationError("need at least one datapoint")
     if n > BINARY_DECIMAL_MAX_N:
         raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
-    bitmask = sum(bit << i for i, bit in enumerate(labels.bits))
-    rank2 = sum(2 * i + 2 for i, bit in enumerate(labels.bits) if bit)
+    # point i has rank i, so the doubled rank sum adds 2i over the positives
+    rank2 = sum(compress(range(2, 2 * n + 1, 2), labels.bits))
     auc_value = _auc_value(rank2, sum(labels.bits), n)
-    return _binary_ll(n, bitmask, phi), _rounded_auc(auc_value, phi)
+    return _binary_ll(n, _bitmask(labels), phi), _rounded_auc(auc_value, phi)
 
 
 class _Construction(NamedTuple):

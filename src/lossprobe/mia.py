@@ -42,22 +42,6 @@ from .exact import _CONSTRUCTIONS
 from .precision import AttackPlan, batched_inference
 from .primes import is_prime
 
-__all__ = [
-    "AttackMode",
-    "CandidateSet",
-    "MembershipVector",
-    "AttackReport",
-    "ScoringView",
-    "Curator",
-    "CuratorOracle",
-    "curator_oracle",
-    "one_query_attack",
-    "fixed_precision_attack",
-    "perturb_prime",
-    "respond",
-    "run_demo",
-]
-
 
 class AttackMode(Enum):
     EXACT_TWIN = "twin"

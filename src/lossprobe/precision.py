@@ -43,20 +43,6 @@ from .exact import BINARY_DECIMAL_MAX_N, _binary_batch_fits, decode_binary_from_
 if TYPE_CHECKING:  # mia imports this module
     from .mia import ScoringView
 
-__all__ = [
-    "min_digits_for_separation",
-    "max_unique_batch",
-    "query_bound",
-    "TupleLookup",
-    "build_tuple_lookup",
-    "tuple_lookup_for",
-    "curated_batch_vector",
-    "BatchSpec",
-    "AttackPlan",
-    "plan_batches",
-    "batched_inference",
-]
-
 
 def _as_fraction(value) -> Fraction:
     try:
@@ -81,9 +67,10 @@ def min_digits_for_separation(delta) -> int:
     p, q = gap.numerator, gap.denominator
     if p >= q:
         return 0
-    # a lower bound from bit lengths (0.301 < log10 2): str(q) would trip the
-    # interpreter's digit cap for separations like 1e-5000
-    k = max(0, (q.bit_length() - p.bit_length() - 1) * 301 // 1000)
+    # a lower bound from bit lengths (0.30102999 < log10 2), short of the answer
+    # by at most two: str(q) would trip the interpreter's digit cap for
+    # separations like 1e-5000, and each step below costs a power of ten
+    k = max(0, (q.bit_length() - p.bit_length() - 1) * 30102999 // 10**8)
     while p * 10**k < q:
         k += 1
     return k
@@ -198,8 +185,9 @@ def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
 
     Labeling ``mask`` (bit i labels point i) adds one per-point step to the
     log-loss sum and the doubled midrank sum of the mask without its lowest
-    bit.  AUC is exact.  Each LL is bracketed by the error bound below and
-    rounded by core._bracket_wire, the rule the curator rounds by; a bracket
+    bit.  AUC is exact, and _rounded_auc writes it through core._bracket_wire.
+    Each LL is bracketed by the error bound below and rounded by the same
+    rule, the one the curator writes every wire by; a bracket
     whose ends round apart is rescored by logloss_decimal, so keys are what
     an oracle puts on the wire.  Raises LookupBuildError naming the first
     two labelings, in mask order, that round to the same tuple.

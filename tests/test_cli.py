@@ -6,12 +6,13 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lossprobe.cli import _RemoteCurator, _serve_one, main
+from lossprobe.cli import BINARY_WIRE_MAX_N, _RemoteCurator, _serve_one, main
 from lossprobe.core import ExactScore, Labeling, format_rational, parse_rational
 from lossprobe.errors import OracleProtocolError
 from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
@@ -664,6 +665,28 @@ def test_attack_demo_transports_agree(capsys):
     assert a.pop("transport") == "inproc"
     assert b.pop("transport") == "subprocess"
     assert a == b
+
+
+def test_served_binary_attack_refused_past_the_wire_cap(capsys, monkeypatch):
+    # entries past the cap are walls of digits (n = 22 took over a minute to
+    # ship), so the attack stops before any server process starts
+    started = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a))
+    began = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "attack-demo", "--n", str(BINARY_WIRE_MAX_N + 1), "--mode", "binary",
+        "--transport", "subprocess",
+    )
+    assert time.perf_counter() - began < 1
+    assert (code, out, started) == (1, "", [])
+    assert err.startswith("error: ") and "--transport inproc" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(
+        capsys, "attack-demo", "--n", str(BINARY_WIRE_MAX_N), "--mode", "binary",
+        "--transport", "subprocess",
+    )
+    assert code == 0
+    assert _last_json(out)["accuracy"] == "1/1"
 
 
 def test_attack_demo_phi_needs_fixed_mode(capsys):

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from decimal import MAX_EMAX, Decimal, localcontext
+from decimal import MAX_EMAX, ROUND_DOWN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -29,6 +29,7 @@ from lossprobe.core import (
     round_fraction_sig,
 )
 from lossprobe.errors import ValidationError
+from lossprobe.exact import binary_decimal_response
 from lossprobe.precision import curated_batch_vector
 from lossprobe.primes import twin_primes
 
@@ -185,6 +186,65 @@ def test_round_fraction_sig_rejects_negative():
         round_fraction_sig(F(-1, 2), 2)
     with pytest.raises(ValidationError):
         round_fraction_sig(F(1, 2), 0)
+
+
+def _assert_half_even_wire(value: Fraction, phi: int, wire: str) -> None:
+    """The wire M * 10^k is value rounded half-even to phi digits, in integers alone."""
+    mantissa, _, exponent = wire.partition("e")
+    m = int(mantissa.replace(".", ""))
+    k = int(exponent) - (phi - 1)
+    assert len(str(m)) == phi
+    unit = F(10) ** k
+    twice_error = 2 * abs(value - m * unit)
+    assert twice_error <= unit
+    assert twice_error < unit or m % 2 == 0
+
+
+@st.composite
+def _rounding_sources(draw):
+    """(value, phi): exact half-even ties, decade carries, and parts of 5000+ digits."""
+    phi = draw(st.integers(1, 40))
+    scale = F(10) ** draw(st.integers(-60, 60))
+    kind = draw(st.sampled_from(("tie", "carry", "wide")))
+    if kind == "tie":
+        # m.5 with m of phi digits sits exactly between two phi-digit wires
+        m = draw(st.integers(10 ** (phi - 1), 10**phi - 1))
+        return F(2 * m + 1, 2) * scale, phi
+    if kind == "carry":
+        return (1 - F(1, 10 ** draw(st.integers(1, 60)))) * scale, phi
+    a, b, c, d = (draw(st.integers(1, 10**30)) for _ in range(4))
+    p, q = a * 7**6000 + b, c * 3**11000 + d  # 5071 and 5249 digits and up
+    return (F(p, q) if draw(st.booleans()) else F(q, p)) * scale, phi
+
+
+@given(_rounding_sources())
+@settings(max_examples=300, deadline=None)
+def test_round_fraction_sig_is_half_even_by_integers(case):
+    # no decimal arithmetic here: round_fraction_sig and fraction_sig_wire both divide in decimal
+    value, phi = case
+    _assert_half_even_wire(value, phi, round_fraction_sig(value, phi))
+
+
+def test_wires_ignore_the_thread_decimal_context():
+    vec = PredictionVector((F(1, 5), F(2, 5), F(2, 5), F(3, 5), F(4, 7)))
+    labels = Labeling((0, 1, 0, 1, 1))
+    rng = random.Random(19)
+    binary = [Labeling(tuple(rng.randint(0, 1) for _ in range(n))) for n in (3, 8, 16, 30)]
+
+    def wires():
+        return (
+            [auc(vec, labels, phi).wire() for phi in (1, 2, 3, 7)],
+            round_fraction_sig(F(10**5000, 3), 3),
+            [[s.wire() for s in binary_decimal_response(b, 3)] for b in binary],
+        )
+
+    expected = wires()
+    # 11/12 with one tie: ROUND_DOWN at two digits would write 9.1e-1, not 9.2e-1
+    assert expected[0] == ["9e-1", "9.2e-1", "9.17e-1", "9.166667e-1"]
+    assert expected[1] == "3.33e4999"
+    foreign = Context(prec=2, rounding=ROUND_DOWN, Emax=10, Emin=-10)
+    with localcontext(foreign):
+        assert wires() == expected
 
 
 # log loss

@@ -2,7 +2,7 @@
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from decimal import MAX_EMAX
 from fractions import Fraction
@@ -18,6 +18,7 @@ from lossprobe.core import (
     ExactScore,
     Labeling,
     ScoreKind,
+    _auc_value,
     _rounded_ll,
     coprime_fraction,
     exact_score,
@@ -329,6 +330,16 @@ def test_required_precision_matches_per_point_sums():
     assert fewest == reference
 
 
+def test_largest_binary_batch_at_any_precision():
+    # the batch that fits is the count of b whose fewest digits are at most
+    # phi; past every b's fewest digits it is the route's cap, even where a
+    # unit in the phi-th digit is beyond what Decimal.scaleb reaches
+    reference = mp_binary_batch_precisions(BINARY_DECIMAL_MAX_N)
+    largest = [_largest_binary_batch(phi) for phi in range(1, 5001)]
+    assert largest == [bisect_right(reference, phi) for phi in range(1, 5001)]
+    assert _largest_binary_batch(3_000_000) == BINARY_DECIMAL_MAX_N
+
+
 def test_required_precision_monotone():
     # the fewest digits that fit b points never fall as b grows, so the
     # batches that fit at any precision form a prefix, as the planner's
@@ -440,6 +451,26 @@ def test_binary_double_bracket_matches_decimal_bracket_and_mpmath(n, phi, data):
     decimal_only = _rounded_ll(partial(exact._binary_log, n, exponent), n, phi)
     assert ll == decimal_only
     assert ll.wire() == mp_binary_logloss_wire(bits, phi)
+
+
+def test_binary_bitmask_conversions_match_the_shift_formulas(monkeypatch):
+    # the response's exponent, its doubled rank sum and the decoders' labelings
+    # go through binary digits; the shift formulas say what each must be
+    monkeypatch.setattr(exact, "_binary_ll", lambda n, exponent, phi: exponent)
+    monkeypatch.setattr(exact, "_rounded_auc", lambda value, phi: value)
+    rng = random.Random(18)
+    seeded = tuple(rng.randint(0, 1) for _ in range(BINARY_DECIMAL_MAX_N))
+    # every prefix of an all-zero, an all-one and a seeded labeling, with the
+    # shift formulas' sums grown one point at a time
+    sums = {pattern: (0, 0, 0) for pattern in ((0,), (1,), seeded)}
+    for n in range(1, BINARY_DECIMAL_MAX_N + 1):
+        for pattern, (mask, rank2, pos) in sums.items():
+            bits = pattern * n if len(pattern) == 1 else pattern[:n]
+            bit = bits[-1]
+            mask, rank2, pos = mask | bit << (n - 1), rank2 + 2 * n * bit, pos + bit
+            sums[pattern] = mask, rank2, pos
+            assert binary_decimal_response(Labeling(bits), 1) == (mask, _auc_value(rank2, pos, n))
+            assert exact._mask_labeling(mask, n).bits == bits
 
 
 def test_binary_decimal_path_only_past_a_double(monkeypatch):

@@ -59,6 +59,9 @@ F = Fraction
         ("1/1000", 3),
         (F(1, 10**12), 12),
         ("1e-5000", 5000),
+        (F(1, 10**200000), 200000),
+        (F(1, 10**200000 + 1), 200001),
+        (F(1, 10**200000 - 1), 200000),
     ],
 )
 def test_min_digits_examples(delta, expected):
