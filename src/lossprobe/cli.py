@@ -326,17 +326,20 @@ class _RemoteCurator(CuratorOracle):
         line = line.rstrip("\n")
         if line.startswith("ERR"):
             raise OracleProtocolError(line[4:] or "unspecified oracle error")
-        if phi is None:
-            if not line.startswith("ESCORE "):
-                raise OracleProtocolError(f"expected ESCORE, got {line!r}")
-            return ExactScore(value=parse_rational(line[7:]), n=n)
-        parts = line.split(" ")
-        if len(parts) != 4 or parts[0] != "LL" or parts[2] != "AUC":
-            raise OracleProtocolError(f"malformed decimal response: {line!r}")
-        return (
-            parse_decimal_score(parts[1], phi, ScoreKind.LOGLOSS),
-            parse_decimal_score(parts[3], phi, ScoreKind.AUC),
-        )
+        try:
+            if phi is None:
+                if not line.startswith("ESCORE "):
+                    raise OracleProtocolError(f"expected ESCORE, got {line!r}")
+                return ExactScore(value=parse_rational(line[7:]), n=n)
+            parts = line.split(" ")
+            if len(parts) != 4 or parts[0] != "LL" or parts[2] != "AUC":
+                raise OracleProtocolError(f"malformed decimal response: {line!r}")
+            return (
+                parse_decimal_score(parts[1], phi, ScoreKind.LOGLOSS),
+                parse_decimal_score(parts[3], phi, ScoreKind.AUC),
+            )
+        except ValidationError as e:  # a reply no oracle-serve writes
+            raise OracleProtocolError(f"{e} in reply {line!r}") from None
 
 
 def _subprocess_demo(

@@ -24,6 +24,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import DivisionByZero, InvalidOperation, Overflow
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -283,32 +284,32 @@ def round_fraction_sig(value: Fraction, phi: int) -> str:
         raise ValidationError("negative values are not produced by these scores")
     if num == 0:
         return _bracket_wire(0.0, 0.0, phi)
-    quotient = _sig_context(phi).divide(Decimal(num), Decimal(den))
+    quotient = _context(phi).divide(Decimal(num), Decimal(den))
     return _bracket_wire(quotient, quotient, phi)
 
 
 @lru_cache
-def _sig_context(phi: int) -> Context:
-    """phi digits, half-even, over every exponent decimal can hold; one per phi."""
-    return Context(prec=phi, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+def _context(prec: int) -> Context:
+    """prec digits, half-even, over every exponent decimal can hold; one per prec.
 
-
-# format() rounds a Decimal with the thread's rounding mode, so that mode is pinned
-_HALF_EVEN = Context(rounding=ROUND_HALF_EVEN)
-# adds and subtracts exactly: no sum of two finite Decimals needs more digits
-_EXACT = Context(prec=MAX_PREC)
+    Every Decimal stage runs in one: the caller's thread context, which a bare
+    localcontext() copies, could round a tiny log loss to zero or overflow.
+    """
+    traps = [InvalidOperation, DivisionByZero, Overflow]  # not the process's DefaultContext's
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=traps)
 
 
 def _bracket_wire(lo: float | Decimal, hi: float | Decimal, phi: int) -> str | None:
     """The phi-digit wire of every value in [lo, hi], or None when its ends round apart.
 
-    format() rounds a double or a Decimal half-even at its exact value, and
-    rounding is monotone, so ends that round alike pin everything between.
-    This is the one rule that writes every wire, log loss or AUC, served or
-    looked up; an AUC comes here already rounded, as a bracket of one point.
+    format() rounds a double or a Decimal half-even at its exact value (a
+    Decimal by _context's rounding), and rounding is monotone, so ends that
+    round alike pin everything between.  This is the one rule that writes
+    every wire, log loss or AUC, served or looked up; an AUC comes here
+    already rounded, as a bracket of one point.
     """
     spec = f".{phi - 1}e"
-    with localcontext(_HALF_EVEN) if isinstance(lo, Decimal) else nullcontext():
+    with localcontext(_context(phi)):
         low = format(lo, spec)
         if low != format(hi, spec):
             return None
@@ -319,11 +320,11 @@ def _bracket_wire(lo: float | Decimal, hi: float | Decimal, phi: int) -> str | N
 @lru_cache
 def _ln2(prec: int) -> Decimal:
     """ln 2 correctly rounded to prec digits; Decimal.ln is superlinear in prec."""
-    return Context(prec=prec).ln(Decimal(2))
+    return _context(prec).ln(Decimal(2))
 
 
 def _ln_positive_int(m: int, prec: int) -> Decimal:
-    """ln(m) for m >= 1 under the current decimal context.
+    """ln(m) for m >= 1, in the context _ln_fraction enters for prec digits.
 
     Very wide integers are cut down to a top slice first: with
     m = head * 2^shift * (1 + delta), delta < 2^(1 - kept_bits), so keeping
@@ -350,8 +351,7 @@ def _ln_fraction(value: Fraction, sig_digits: int) -> Decimal:
     magnitude = len(str(p.bit_length() + q.bit_length()))
     prec = sig_digits + 10 + magnitude
     while True:
-        with localcontext() as ctx:
-            ctx.prec = prec
+        with localcontext(_context(prec)):
             lp = _ln_positive_int(p, prec)
             lq = _ln_positive_int(q, prec)
             result = lp - lq
@@ -445,12 +445,11 @@ def _rounded_ll(
     sig = 2 * phi + 10
     while True:
         ln_value = ln_at(sig)
-        with localcontext() as ctx:
-            ctx.prec = max(sig, ln_value.adjusted() + sig)
-            ll = ln_value / n
-        # sig good digits from ln_at, at least sig from the division
-        margin = _EXACT.scaleb(ll, 2 - sig)
-        wire = _bracket_wire(_EXACT.subtract(ll, margin), _EXACT.add(ll, margin), phi)
+        ll = _context(max(sig, ln_value.adjusted() + sig)).divide(ln_value, n)
+        # sig good digits from ln_at and from the division; MAX_PREC adds exactly
+        exact = _context(MAX_PREC)
+        margin = exact.scaleb(ll, 2 - sig)
+        wire = _bracket_wire(exact.subtract(ll, margin), exact.add(ll, margin), phi)
         if wire is not None:
             return DecimalScore(wire, phi, ScoreKind.LOGLOSS)
         sig *= 2
@@ -566,11 +565,11 @@ def format_rational(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
 
 
-_WIRE_SCORE = re.compile(r"(\d)(?:\.(\d+))?e(-?\d+)\Z")
+_WIRE_SCORE = re.compile(r"\d(?:\.\d+)?e(-?\d+)\Z")
 
 
 def parse_decimal_score(text: str, phi: int, kind: ScoreKind) -> DecimalScore:
-    """Rebuild a DecimalScore from its wire form (inverse of .wire())."""
+    """Rebuild a DecimalScore from its wire form, the one form .wire() writes."""
     if text == "ND":
         if kind is not ScoreKind.LOGLOSS:
             return DecimalScore(digits="", phi=phi, kind=ScoreKind.AUC_NOT_DEFINED)
@@ -578,14 +577,13 @@ def parse_decimal_score(text: str, phi: int, kind: ScoreKind) -> DecimalScore:
     m = _WIRE_SCORE.match(text)
     if m is None:
         raise ValidationError(f"not a rounded score: {text!r}")
-    digits = m.group(1) + (m.group(2) or "")
-    if len(digits) != phi:
-        raise ValidationError(
-            f"score {text!r} carries {len(digits)} significant digits, expected {phi}"
-        )
-    # no decimal context reaches past MAX_EMAX, and far beyond it Decimal()
-    # itself raises InvalidOperation
-    exponent = m.group(3).lstrip("-").lstrip("0")
+    # no context holds an exponent past MAX_EMAX; far past it Decimal() raises
+    exponent = m.group(1).lstrip("-").lstrip("0")
     if len(exponent) > len(str(MAX_EMAX)) or int(exponent or 0) > MAX_EMAX:
         raise ValidationError(f"score {text!r} has an exponent past {MAX_EMAX}")
+    value = Decimal(text)
+    # 4.1e-01 or 0.4e0 is no wire, so no lookup keyed on wires could match it;
+    # and a log loss is never zero
+    if _bracket_wire(value, value, phi) != text or not value and kind is ScoreKind.LOGLOSS:
+        raise ValidationError(f"score {text!r} is not a {phi}-digit {kind.value} wire")
     return DecimalScore(digits=text, phi=phi, kind=kind)

@@ -32,6 +32,7 @@ from .core import (
     PredictionVector,
     ScoreKind,
     _auc_value,
+    _context,
     _ln2,
     _rounded_auc,
     _rounded_ll,
@@ -214,8 +215,7 @@ def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
     the working precision does not grow with n; past 4 * digits + 40 bits
     the second term is below every digit kept.
     """
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
+    with localcontext(_context(digits + 10)):
         width = 1 << n
         value = (width - exponent) * _ln2(digits + 10)
         if width <= 4 * digits + 40:
@@ -243,8 +243,7 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
     sig = 2 * phi + 10  # _binary_ll's first precision, so ln 2 is computed once
     first, last = 1, 0
     if 0 < wire < width:  # every LL of n points is below 2^n
-        with localcontext() as ctx:
-            ctx.prec = sig + 10
+        with localcontext(_context(sig + 10)):
             half = Decimal((0, (5,), wire.adjusted() - phi))  # half a unit of the last digit
             tail = _binary_log(n, width, sig)  # exponent 2^n leaves ln(1 - 2^-2^n)
             lo, hi = ((n * x - tail) / _ln2(sig + 10) for x in (wire - half, wire + half))
@@ -287,10 +286,9 @@ def _binary_batch_fits(b: int, phi: int) -> bool:
     so the leading-digit places decide: no Decimal is built at the unit's
     exponent, which scaleb refuses past about 2 * 10^6 digits.
     """
-    with localcontext() as ctx:
-        ctx.prec = 30
-        top = _binary_log(b, 0, 20) / b
-        return (_ln2(30) / b).adjusted() > top.adjusted() - phi
+    ctx = _context(30)
+    top = ctx.divide(_binary_log(b, 0, 20), b)
+    return ctx.divide(_ln2(30), b).adjusted() > top.adjusted() - phi
 
 
 def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, DecimalScore]:

@@ -110,3 +110,22 @@ def test_every_private_helper_has_a_caller_outside_its_definition():
     ]
     assert helpers  # the walk sees the package
     assert [name for name in helpers if name not in used] == []
+
+
+def test_every_decimal_context_comes_from_one_constructor():
+    # a bare localcontext() copies the caller's thread context, and a
+    # Context() of its own would be a second rule: either lets a caller's
+    # rounding or exponent limits reach a wire
+    found = []
+    for path in sorted((ROOT / "src" / "lossprobe").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if (path.name, getattr(stmt, "name", None)) == ("core.py", "_context"):
+                continue
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                bare = not node.args and not node.keywords
+                if name == "Context" or (name == "localcontext" and bare):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -555,6 +556,22 @@ def test_remote_curator_rejects_a_three_part_decimal_reply():
     curator, _ = remote_curator("LL 4.1e-1 AUC\n", phi=2)
     with pytest.raises(OracleProtocolError, match="malformed decimal response"):
         curator.decimal_scores([Fraction(1, 5), Fraction(2, 5)], 2)
+
+
+@pytest.mark.parametrize("reply", [
+    "LL 4.1e-01 AUC 1.0e0", "LL 0.4e0 AUC 1.0e0", "LL 4.1e-1 AUC 5.0e-0", "LL 0.0e0 AUC 1.0e0",
+    "LL 4.1E-1 AUC 1.0e0", "ESCORE abc",
+])
+def test_remote_curator_rejects_a_reply_outside_the_wire_contract(reply):
+    # non-canonical wires, a zero log loss, an upper-case exponent and a
+    # non-rational score: a protocol fault naming the line, where a lookup
+    # keyed on wires would report "matches no labeling"
+    curator, _ = remote_curator(reply + "\n", phi=None if reply.startswith("ESCORE") else 2)
+    with pytest.raises(OracleProtocolError, match=re.escape(f"in reply {reply!r}")):
+        if reply.startswith("ESCORE"):
+            curator.exact_response([Fraction(5, 7)])
+        else:
+            curator.decimal_scores([Fraction(1, 5), Fraction(2, 5)], 2)
 
 
 def test_remote_curator_refuses_digits_the_server_does_not_serve():

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from decimal import MAX_EMAX, ROUND_DOWN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, ROUND_DOWN, Context, Decimal, DefaultContext, Inexact, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -245,6 +245,19 @@ def test_wires_ignore_the_thread_decimal_context():
     foreign = Context(prec=2, rounding=ROUND_DOWN, Emax=10, Emin=-10)
     with localcontext(foreign):
         assert wires() == expected
+
+
+def test_wires_ignore_the_default_decimal_context():
+    # Context() copies each field it is not given from DefaultContext, which a
+    # process may set for its new threads: a trap set there must not fire
+    expected = round_fraction_sig(F(1, 3), 2)
+    DefaultContext.traps[Inexact] = True
+    core._context.cache_clear()
+    try:
+        assert round_fraction_sig(F(1, 3), 2) == expected
+    finally:
+        DefaultContext.traps[Inexact] = False
+        core._context.cache_clear()
 
 
 # log loss
@@ -535,12 +548,24 @@ def test_parse_decimal_score_rejections():
 
 
 def test_parse_decimal_score_bounds_the_exponent():
-    for exponent in (MAX_EMAX, -MAX_EMAX, "-000" + str(MAX_EMAX)):
+    for exponent in (MAX_EMAX, -MAX_EMAX):
         assert parse_decimal_score(f"1.5e{exponent}", 2, ScoreKind.LOGLOSS).phi == 2
     # past MAX_EMAX, Decimal() raises InvalidOperation; 5000 digits would trip int()
     for exponent in (MAX_EMAX + 1, -MAX_EMAX - 1, 10**20, -(10**20), "9" * 5000):
         with pytest.raises(ValidationError, match="exponent past"):
             parse_decimal_score(f"1.5e{exponent}", 2, ScoreKind.LOGLOSS)
+    # in range, but padded with zeros no wire is written with
+    with pytest.raises(ValidationError, match="not a 2-digit logloss wire"):
+        parse_decimal_score(f"1.5e-000{MAX_EMAX}", 2, ScoreKind.LOGLOSS)
+
+
+@pytest.mark.parametrize("phi", [1, 2, 3])
+def test_parse_decimal_score_zero_is_an_auc_only(phi):
+    # an AUC of 0 is written from a double, and a log loss is never 0
+    zero = round_fraction_sig(F(0), phi)
+    assert parse_decimal_score(zero, phi, ScoreKind.AUC).wire() == zero
+    with pytest.raises(ValidationError, match=f"not a {phi}-digit logloss wire"):
+        parse_decimal_score(zero, phi, ScoreKind.LOGLOSS)
 
 
 def test_decimal_score_equality_is_string_equality():

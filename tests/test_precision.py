@@ -1,6 +1,6 @@
 """Fixed-precision channel: capacity bounds, lookup tables, batched recovery."""
 
-from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,7 +20,7 @@ from lossprobe.errors import (
     LookupBuildError,
     ValidationError,
 )
-from lossprobe.exact import BINARY_DECIMAL_MAX_N, binary_decimal_response
+from lossprobe.exact import BINARY_DECIMAL_MAX_N, binary_decimal_response, decode_binary_from_decimal
 from lossprobe.mia import MembershipVector, curator_oracle
 from lossprobe.precision import (
     batched_inference,
@@ -332,31 +332,41 @@ def test_lookup_rescores_an_ll_at_a_rounding_boundary(above, rescored):
     assert table[(wire, "ND")] == (1,)
 
 
-@pytest.mark.parametrize("rounding", [ROUND_HALF_UP, ROUND_DOWN])
-def test_wires_ignore_the_thread_decimal_context(rounding):
-    # a caller's decimal context, three digits rounding up at halves or down,
-    # must not reach a wire: near-tie log losses (the Decimal stage), binary
-    # responses past a double (n = 2048) and lookup tables keep the default
-    # context's wires
+@pytest.mark.parametrize("foreign", [
+    pytest.param(Context(prec=3, rounding=ROUND_HALF_UP), id="ROUND_HALF_UP"),
+    pytest.param(Context(prec=3, rounding=ROUND_DOWN), id="ROUND_DOWN"),
+    pytest.param(Context(prec=2, rounding=ROUND_DOWN, Emax=10, Emin=-10), id="narrow-exponents"),
+])
+def test_wires_ignore_the_thread_decimal_context(foreign):
+    # a caller's decimal context, its digits, rounding or exponent limits,
+    # must not reach a wire: near-tie log losses (the Decimal stage; below
+    # Emin at 3.5e-30), binary responses past a double (n = 2048, past Emax),
+    # lookup tables, a plan at 40 digits and a binary decode at n = 1024 keep
+    # the default context's results
     near_ties = []
     for tie, offset, phi in (("0.25", "1e-17", 1), ("0.25", "-1e-17", 1),
-                             ("1.23455", "1e-17", 5), ("3.45645", "-2e-16", 5)):
+                             ("1.23455", "1e-17", 5), ("3.45645", "-2e-16", 5),
+                             ("3.5e-30", "-1e-55", 1), ("3.5e-30", "1e-55", 1)):
         near_ties.append((_tie_offset(Decimal(tie), Decimal(offset), []), phi))
     binary = [Labeling((1, 0) * 1024), Labeling((0,) * 2047 + (1,))]
     vectors = [([x], phi) for x, phi in near_ties] + [(curated_batch_vector(2), 2)]
+    hidden = Labeling((1, 0) * 512)
 
     def wires():
+        ll = binary_decimal_response(hidden, 320)[0]
         return (
             [logloss_decimal(PredictionVector((x,)), Labeling((1,)), phi).wire()
              for x, phi in near_ties],
             [binary_decimal_response(labels, phi) for labels in binary for phi in (1, 4, 9)],
             [tuple_lookup_for(entries, phi).table for entries, phi in vectors],
+            plan_batches(60, 40),
+            (ll, decode_binary_from_decimal(ll, 1024)),
         )
 
     expected = wires()
-    assert expected[0] == ["3e-1", "2e-1", "1.2346e0", "3.4564e0"]
-    with localcontext() as ctx:
-        ctx.prec, ctx.rounding = 3, rounding
+    assert expected[0] == ["3e-1", "2e-1", "1.2346e0", "3.4564e0", "3e-30", "4e-30"]
+    assert expected[4][1] == hidden
+    with localcontext(foreign):
         assert wires() == expected
 
 
