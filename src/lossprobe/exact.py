@@ -41,7 +41,7 @@ from .core import (
     coprime_fraction,
 )
 from .errors import DecodeError, PrecisionError, ValidationError
-from .primes import factor_over, first_primes, remainders, tree_product, twin_primes
+from .primes import exponents_over, first_primes, remainders, tree_product, twin_primes
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -96,29 +96,20 @@ def _numerator_fault(numerator: int, uppers: tuple[int, ...]) -> DecodeError:
 def _twin_labeling(denominator: int, lowers: tuple[int, ...]) -> Labeling:
     """Read the labels off a denominator that must be 2^m * prod(lowers labeled 1).
 
-    A remainder tree over the lower twins gives each bit; the odd part must
-    then be exactly the product of the dividing lowers and m the number of
-    zero bits.
+    Each lower's exponent in the odd part, capped at 1, is its bit; nothing
+    else may be left, no lower may pass the cap, and m must be the number
+    of zero bits.
     """
     m, odd = _split_pow2(denominator)
-    bits = tuple(int(r == 0) for r in remainders(odd, lowers))
-    divisors = [p for p, bit in zip(lowers, bits) if bit]
-    rest = odd // tree_product(divisors)
+    bits, rest, twice = exponents_over(odd, lowers, 1)
     if rest != 1:
-        # strip every power of the dividing lowers: anything left is foreign,
-        # otherwise the smallest lower that divided the rest is repeated
-        repeated = [p for p, r in zip(divisors, remainders(rest, divisors)) if not r]
-        twice = repeated[:1]
-        while repeated:
-            rest //= tree_product(repeated)
-            repeated = [p for p, r in zip(repeated, remainders(rest, repeated)) if not r]
-        if rest != 1:
-            raise DecodeError(f"denominator has a foreign factor {_wide_str(rest)}")
+        raise DecodeError(f"denominator has a foreign factor {_wide_str(rest)}")
+    if twice:
         raise DecodeError(f"denominator contains {twice[0]} twice")
-    zeros = len(bits) - len(divisors)
+    zeros = bits.count(0)
     if m != zeros:
         raise DecodeError(f"power of two {m} disagrees with the {zeros} zero-labeled points")
-    return Labeling(bits)
+    return Labeling(tuple(bits))
 
 
 def decode_twin_prime_value(value: Fraction) -> Labeling:
@@ -353,7 +344,8 @@ def decode_multiclass(score: ExactScore, k: int) -> ClassLabeling:
     """Recover class labels from a multi-class exact score over score.n points.
 
     The score equals prod(alpha_i) / M with M = prod p_i^(label_i - 1);
-    M is isolated exactly, then factored over the first n primes.
+    M is isolated exactly and each label read off p_i's exponent, capped at
+    k - 1.  Anything else left in M, or an exponent past k - 1, raises.
     """
     n = score.n
     if k < 2:  # ExactScore already holds n >= 1
@@ -369,15 +361,9 @@ def decode_multiclass(score: ExactScore, k: int) -> ClassLabeling:
     m = Fraction(alpha_product) / score.value
     if m.denominator != 1:
         raise DecodeError("score does not divide the alpha product")
-    parts = factor_over(m.numerator, primes)
-    if parts.leftover != 1:
-        raise DecodeError(
-            f"label product has a foreign factor {_wide_str(parts.leftover)}"
-        )
-    classes = []
-    for p in primes:
-        e = parts.exponents.get(p, 0)
-        if e > k - 1:
-            raise DecodeError(f"exponent of {p} exceeds the class count")
-        classes.append(e + 1)
-    return ClassLabeling(tuple(classes), k)
+    exps, rest, over = exponents_over(m.numerator, primes, k - 1)
+    if rest != 1:
+        raise DecodeError(f"label product has a foreign factor {_wide_str(rest)}")
+    if over:
+        raise DecodeError(f"exponent of {over[0]} exceeds the class count")
+    return ClassLabeling(tuple(e + 1 for e in exps), k)

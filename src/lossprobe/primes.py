@@ -7,16 +7,20 @@ sieve of Eratosthenes, sized once from an estimate of where the n-th prime
 or twin pair lies, and every twin entry is re-checked with an independent
 deterministic twelve-base Miller-Rabin test, so a sieve bug cannot
 silently corrupt an encoding.
+
+The exact decoders read labels through one exponent reader,
+exponents_over: each listed prime's exponent capped at a given top, what
+is left once every listed prime is divided out, and which primes passed
+the cap.  The twin decoder caps at 1, the multi-class decoder at k - 1.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -83,7 +87,8 @@ def _twin_sieve_bound(n: int) -> int:
 
     The count undershoots the true one, so the bound lies past the n-th pair
     (the + 1 is the dropped (3, 5) pair); the tests check this for every n
-    up to 3000 and at 100000.  x = (n + 1) ln^2 x / 1.32 is a contraction
+    up to 100000, the twin construction's cap, so a short sieve is an error
+    rather than a retry.  x = (n + 1) ln^2 x / 1.32 is a contraction
     past x = e^2, so a few fixed-point steps from 64 settle it.
     """
     x = 64.0
@@ -92,7 +97,6 @@ def _twin_sieve_bound(n: int) -> int:
     return int(x) + 2
 
 
-_TWIN_RETRIES = 4  # doublings of the bound allowed after a shortfall
 _TWIN_GAP = re.compile(b"\x01\x00\x01")  # p and p + 2 prime; p + 1 is even
 
 
@@ -102,14 +106,10 @@ def twin_primes(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValidationError("twin-prime table size must be >= 1")
     limit = _twin_sieve_bound(n)
-    for _ in range(_TWIN_RETRIES + 1):
-        # from 5 no match overlaps the next: p, p + 2, p + 4 prime needs p = 3
-        lowers = [m.start() for m in islice(_TWIN_GAP.finditer(_sieve(limit), 5), n)]
-        if len(lowers) == n:
-            break
-        limit *= 2
-    else:
-        raise ValidationError(f"the twin sieve found fewer than {n} pairs below {limit // 2}")
+    # from 5 no match overlaps the next: p, p + 2, p + 4 prime needs p = 3
+    lowers = [m.start() for m in islice(_TWIN_GAP.finditer(_sieve(limit), 5), n)]
+    if len(lowers) < n:
+        raise ValidationError(f"the twin sieve found fewer than {n} pairs below {limit}")
     for p in lowers:
         # independent route: the sieve result must survive Miller-Rabin
         if not (is_prime(p) and is_prime(p + 2)):
@@ -163,36 +163,34 @@ def remainders(value: int, moduli: Sequence[int]) -> list[int]:
     return rems
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Exponents of the allowed primes plus whatever refused to divide."""
+def exponents_over(
+    value: int, primes: Sequence[int], top: int
+) -> tuple[list[int], int, list[int]]:
+    """Each listed prime's exponent in value capped at top, what is left, and who passed top.
 
-    exponents: Mapping[int, int]
-    leftover: int
-
-
-def factor_over(value: int, primes: Iterable[int]) -> Factorization:
-    """Factor value over the given primes only; leftover keeps the rest.
-
-    A remainder tree finds the primes that divide value; exponents are
-    divided out for those alone, smallest prime first.  Exponents are
-    recorded only when positive, so the reconstruction identity
-    ``leftover * prod(p**e) == value`` holds exactly.
+    primes must be distinct primes.  One remainder tree over the p^top gives
+    each exponent: top where p^top divides value, else the valuation of the
+    small remainder.  One division by the product of the p^e gives rest.
+    Only when rest is not 1 are the further powers of the primes at top
+    stripped, so rest then holds no listed prime, and over lists, in the
+    given order, the primes whose exponent exceeds top.
     """
     if value < 1:
         raise ValidationError("can only factor a positive integer")
-    candidates = sorted(set(primes))
-    if candidates and candidates[0] < 2:
-        raise ValidationError("prime factors must be >= 2")
-    exps: dict[int, int] = {}
-    rest = value
-    for p, r in zip(candidates, remainders(value, candidates)):
-        if r:
-            continue
-        e = 0
-        while rest % p == 0:
-            rest //= p
+    exps = []
+    for p, r in zip(primes, remainders(value, [p**top for p in primes])):
+        e = 0 if r else top
+        while r and r % p == 0:  # r < p^top, so this stops below top
+            r //= p
             e += 1
-        if e:
-            exps[p] = e
-    return Factorization(exponents=exps, leftover=rest)
+        exps.append(e)
+    rest = value // tree_product([p**e for p, e in zip(primes, exps) if e])
+    over: list[int] = []
+    if rest != 1:
+        capped = [p for p, e in zip(primes, exps) if e == top]
+        over = [p for p, r in zip(capped, remainders(rest, capped)) if not r]
+        repeated = over
+        while repeated:
+            rest //= tree_product(repeated)
+            repeated = [p for p, r in zip(repeated, remainders(rest, repeated)) if not r]
+    return exps, rest, over

@@ -589,13 +589,16 @@ def test_multiclass_roundtrip_exhaustive_small():
 
 
 def test_multiclass_tamper_rejected():
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="does not divide the alpha product"):
         decode_multiclass(ExactScore(value=F(92, 18), n=2), 3)
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="does not divide the alpha product"):
         decode_multiclass(ExactScore(value=F(91 * 5, 18), n=2), 3)
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="exponent of 2 exceeds the class count"):
         # denominator exponent 4 exceeds the k - 1 = 2 a label can produce
         decode_multiclass(ExactScore(value=F(91, 48), n=2), 3)
+    with pytest.raises(DecodeError, match="foreign factor 169$"):
+        # over-full in 2 and a foreign 13^2 at once: the foreign factor is named first
+        decode_multiclass(ExactScore(value=F(91, 18 * 2**4 * 13**2), n=2), 3)
     with pytest.raises(DecodeError, match="foreign factor"):
         # a foreign factor wider than the int-to-str cap
         decode_multiclass(ExactScore(value=F(91, 18 * 13**5000), n=2), 3)

@@ -1,4 +1,4 @@
-"""Prime utilities: dual-route primality, twin pairs, partial factoring."""
+"""Prime utilities: dual-route primality, twin pairs, the exponent reader."""
 
 import math
 import tracemalloc
@@ -10,8 +10,7 @@ from lossprobe import primes
 from lossprobe.errors import ValidationError
 from lossprobe.exact import TWIN_MAX_N
 from lossprobe.primes import (
-    Factorization,
-    factor_over,
+    exponents_over,
     first_primes,
     is_prime,
     remainders,
@@ -124,15 +123,14 @@ def test_cold_twin_table_sieves_once_and_rechecks_every_entry(monkeypatch):
     assert checks == [q for p in lowers for q in (p, p + 2)]
 
 
-def test_twin_table_retries_a_short_sieve(monkeypatch):
+def test_twin_table_refuses_a_short_sieve_at_once(monkeypatch):
+    # the bound reaches every table entry up to the cap (pinned below), so a
+    # shortfall is a fault to report, not a reason to sieve again
     monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 16)
     sieves = _spy(monkeypatch, "_sieve")
-    # 2, 4, 6 and 9 pairs end below 16, 32, 64 and 128; the fourth doubling suffices
-    assert twin_primes.__wrapped__(10) == trial_division_twins(10)
-    assert sieves == [16, 32, 64, 128, 256]
-    monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 8)
-    with pytest.raises(ValidationError, match="fewer than 10 pairs below 128"):
+    with pytest.raises(ValidationError, match="fewer than 10 pairs below 16"):
         twin_primes.__wrapped__(10)
+    assert sieves == [16]
 
 
 def test_sieve_sized_once_reaches_the_last_table_entry(monkeypatch):
@@ -142,6 +140,9 @@ def test_sieve_sized_once_reaches_the_last_table_entry(monkeypatch):
     lowers = twin_primes.__wrapped__(TWIN_MAX_N)
     assert len(sieves) == 1
     assert lowers[-1] == 18_409_541
+    # every table size up to the cap is sized once: its bound is past its last pair
+    bound = primes._twin_sieve_bound
+    assert [n for n in range(1, TWIN_MAX_N + 1) if bound(n) < lowers[n - 1] + 2] == []
 
 
 def test_twin_table_memory_stays_near_its_flags(monkeypatch):
@@ -158,30 +159,22 @@ def test_twin_table_memory_stays_near_its_flags(monkeypatch):
 
 
 @given(
-    st.lists(st.integers(0, 4), min_size=3, max_size=3),
-    st.integers(1, 50).filter(lambda v: all(v % p for p in (3, 5, 7))),
-    st.permutations((3, 5, 7)),
-    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=6),
+    st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    st.integers(1, 60),
+    st.permutations((2, 3, 5, 7)),
+    st.integers(1, 3),
 )
-def test_factor_over_reconstructs(exponents, leftover, order, extra):
+def test_exponents_over_matches_trial_division(exponents, leftover, order, top):
     value = leftover
-    for p, e in zip((3, 5, 7), exponents):
+    for p, e in zip((2, 3, 5, 7), exponents):
         value *= p**e
-    # unsorted, with repeats, and with primes that may divide the leftover
-    primes = [*order, *extra]
-    result = factor_over(value, primes)
-    assert (dict(result.exponents), result.leftover) == naive_factor_over(value, primes)
-    product = result.leftover
-    for p, e in result.exponents.items():
-        product *= p**e
-    assert product == value
-    # only positive exponents are recorded
-    assert all(e > 0 for e in result.exponents.values())
-    for p, e in zip((3, 5, 7), exponents):
-        assert result.exponents.get(p, 0) == e
-    assert result.leftover % 1 == 0
-    for p in primes:
-        assert result.leftover % p != 0
+    # listed out of order, some primes left out, and the leftover may hold any of them
+    primes = order[:3]
+    exps, rest, over = exponents_over(value, primes, top)
+    naive, naive_rest = naive_factor_over(value, primes)
+    assert exps == [min(naive.get(p, 0), top) for p in primes]
+    assert rest == naive_rest
+    assert over == [p for p in primes if naive.get(p, 0) > top]
 
 
 @given(st.integers(0, 10**60), st.lists(st.integers(1, 10**9), max_size=100))
@@ -190,11 +183,6 @@ def test_trees_match_plain_arithmetic(value, moduli):
     assert remainders(value, moduli) == [value % m for m in moduli]
 
 
-def test_factor_over_rejects_nonpositive():
+def test_exponents_over_rejects_nonpositive():
     with pytest.raises(ValidationError):
-        factor_over(0, (2, 3))
-
-
-def test_factorization_roundtrip_example():
-    f = factor_over(1729, (7, 13, 19))
-    assert f == Factorization(exponents={7: 1, 13: 1, 19: 1}, leftover=1)
+        exponents_over(0, (2, 3), 1)
