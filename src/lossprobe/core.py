@@ -148,22 +148,11 @@ class PredictionVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    # Pre-split factor parts let exact_score run without re-deriving the
-    # complements or re-reducing anything per call.  Two rules read off the
-    # entries keep power-of-two heavy constructions (the binary one) in
-    # shift territory: a power of two splits by its length alone, and an
-    # odd denominator part 2^k + 1 is folded into the product by a shift
-    # and an add, so 2^(2^n) - 1 is never multiplied out.
-    @cached_property
-    def _factor_parts(self) -> tuple[tuple[int, int, int, int], ...]:
-        parts = []
-        for x in self.entries:
-            num, den = x.numerator, x.denominator
-            ns, no = _split_pow2(num)
-            cs, co = _split_pow2(den - num)
-            parts.append((ns, no, cs, co))
-        return tuple(parts)
-
+    # The product of the denominators, the same for every labeling, is kept
+    # as (shift, odd part).  Two rules keep power-of-two heavy constructions
+    # (the binary one) in shift territory: a power of two splits by its
+    # length alone (_split_pow2), and an odd part 2^k + 1 is folded into the
+    # product by a shift and an add, so 2^(2^n) - 1 is never multiplied out.
     @cached_property
     def _denominator_product(self) -> tuple[int, int]:
         shift = 0
@@ -369,7 +358,10 @@ def exact_score(x: PredictionVector, labels: Labeling) -> ExactScore:
     numerator/denominator products are accumulated with their powers of
     two split out, so constructions built from powers of two reduce via
     shifts instead of big-integer gcds, and the odd parts are multiplied
-    through a product tree rather than one long chain.
+    through a product tree rather than one long chain.  Only the side each
+    label selects is split, x_i's numerator or its complement's, and
+    nothing per entry is kept past the call; a power of two (the binary
+    construction's numerators) splits by its length alone.
     """
     if len(x) != len(labels):
         raise ValidationError(
@@ -377,16 +369,12 @@ def exact_score(x: PredictionVector, labels: Labeling) -> ExactScore:
         )
     sel_shift = 0
     sel_odds = []
-    for part, bit in zip(x._factor_parts, labels.bits):
-        ns, no, cs, co = part
-        if bit:
-            sel_shift += ns
-            if no > 1:
-                sel_odds.append(no)
-        else:
-            sel_shift += cs
-            if co > 1:
-                sel_odds.append(co)
+    for entry, bit in zip(x.entries, labels.bits):
+        num = entry.numerator
+        shift, odd = _split_pow2(num if bit else entry.denominator - num)
+        sel_shift += shift
+        if odd > 1:
+            sel_odds.append(odd)
     sel_odd = tree_product(sel_odds)
     den_shift, den_odd = x._denominator_product
     common = min(sel_shift, den_shift)

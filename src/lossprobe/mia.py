@@ -187,7 +187,11 @@ class CuratorOracle:
         labels = _sub_labels(self.__hidden.bits, n, indices)
         self._queries += 1
         if not isinstance(query, str):
-            query = PredictionVector(tuple(map(Fraction, query)))
+            # a Fraction is scored as sent, not copied; any other type, a
+            # subclass included, goes through Fraction() and is validated
+            query = PredictionVector(
+                tuple(x if type(x) is Fraction else Fraction(x) for x in query)
+            )
         return respond(query, labels, phi)
 
     def exact_response(

@@ -76,14 +76,30 @@ def min_digits_for_separation(delta) -> int:
     return k
 
 
+_LOG2_10 = math.log2(10)
+
+
 def max_unique_batch(phi: int) -> int:
     """floor(log2(10^phi * (10^phi + 1))): the (AUC, LL) pairs for one LL exponent.
 
     A count, not a bound: the LL wire carries its own exponent, so a batch
     can separate more labelings.  The lookup guard still caps batches here.
+
+    The log is 2 phi log2 10 + log2(1 + 10^-phi), never an integer (the
+    count has a factor 5).  Doubles bracket it, and only a bracket that
+    holds an integer has the count multiplied out: 10^phi has phi digits.
     """
     if phi < 1:
         raise ValidationError("need at least one significant digit")
+    # the constant (libm's log2), 2 phi as a double and their product are
+    # each within 2^-52 of their size, so x is within 2^-50 x of the first
+    # term, and margin also covers rounding the ends; the second term lies
+    # in (0, 1.5 * 10^-phi), and 10^-300 bounds it past phi 300
+    x = 2 * phi * _LOG2_10
+    margin = x * 2.0**-48
+    low, high = math.floor(x - margin), math.floor(x + margin + 1.5 * 10.0 ** -min(phi, 300))
+    if low == high:
+        return low
     states = 10**phi * (10**phi + 1)
     return states.bit_length() - 1
 

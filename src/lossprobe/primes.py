@@ -4,9 +4,10 @@ The label-recovery constructions lean on two prime sequences: the lower
 members of twin prime pairs starting at (5, 7), and the plain primes
 2, 3, 5, ... used by the multi-class encoding.  Both come from one byte
 sieve of Eratosthenes, sized once from an estimate of where the n-th prime
-or twin pair lies, and every twin entry is re-checked with an independent
-deterministic twelve-base Miller-Rabin test, so a sieve bug cannot
-silently corrupt an encoding.
+or twin pair lies.  The sieve keeps one flag per odd number only, so a
+twin pair is two adjacent set flags, and every twin entry is re-checked
+with an independent deterministic twelve-base Miller-Rabin test, so a
+sieve bug cannot silently corrupt an encoding.
 
 The exact decoders read labels through one exponent reader,
 exponents_over: each listed prime's exponent capped at a given top, what
@@ -56,12 +57,20 @@ def is_prime(n: int) -> bool:
 
 
 def _sieve(limit: int) -> bytearray:
-    """Flags for 0..limit (limit >= 1): byte i is 1 exactly when i is prime (Eratosthenes)."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    """Flags for the odd numbers 1, 3, ... up to limit (limit >= 1): byte i is
+    1 exactly when 2i + 1 is prime (Eratosthenes).
+
+    No even number gets a flag, which halves the bytes against one per
+    integer; an odd multiple of p is p apart from the next in flag index.
+    """
+    size = (limit + 1) // 2
+    flags = bytearray([1]) * size
+    flags[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            first = p * p // 2  # p * p, the first odd multiple no smaller prime struck
+            flags[first::p] = bytes(len(range(first, size, p)))
     return flags
 
 
@@ -69,7 +78,7 @@ def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit by Eratosthenes."""
     if limit < 2:
         return []
-    return list(compress(range(limit + 1), _sieve(limit)))
+    return [2, *compress(range(1, limit + 1, 2), _sieve(limit))]
 
 
 @lru_cache(maxsize=8)
@@ -97,7 +106,7 @@ def _twin_sieve_bound(n: int) -> int:
     return int(x) + 2
 
 
-_TWIN_GAP = re.compile(b"\x01\x00\x01")  # p and p + 2 prime; p + 1 is even
+_TWIN_GAP = re.compile(b"\x01\x01")  # the flags of p and p + 2, odd numbers side by side
 
 
 @lru_cache(maxsize=8)
@@ -106,8 +115,8 @@ def twin_primes(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValidationError("twin-prime table size must be >= 1")
     limit = _twin_sieve_bound(n)
-    # from 5 no match overlaps the next: p, p + 2, p + 4 prime needs p = 3
-    lowers = [m.start() for m in islice(_TWIN_GAP.finditer(_sieve(limit), 5), n)]
+    # from 5 (flag 2) no match overlaps the next: p, p + 2, p + 4 prime needs p = 3
+    lowers = [2 * m.start() + 1 for m in islice(_TWIN_GAP.finditer(_sieve(limit), 2), n)]
     if len(lowers) < n:
         raise ValidationError(f"the twin sieve found fewer than {n} pairs below {limit}")
     for p in lowers:

@@ -1,5 +1,6 @@
 """Membership-inference simulation: roles, recovery, tamper evidence."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,60 @@ def test_oracle_exact_response_value():
     score = oracle.exact_response(build_twin_prime_vector(3).entries)
     assert score.value == F(1729, 170)
     assert score.n == 3
+
+
+class _LyingFraction(Fraction):
+    """A Fraction whose numerator property reports another value than it holds."""
+
+    def __new__(cls, numerator, denominator, lie):
+        self = super().__new__(cls, numerator, denominator)
+        self.lie = lie
+        return self
+
+    @property
+    def numerator(self):
+        return self.lie
+
+
+@pytest.mark.parametrize(
+    "entries,exact,wires",
+    [
+        (["5/7", "11/13", "17/19"], F(1729, 170), ("7.73e-1", "5.00e-1")),
+        ([0.5, 0.25, 0.75], F(32, 9), ("4.23e-1", "1.00e0")),
+        ([F(5, 7), "11/13", 0.75], F(182, 15), ("8.32e-1", "0.00e0")),
+        # Fraction() reads the lie, so this is scored as 3/7
+        ([_LyingFraction(5, 7, 3), F(11, 13), F(17, 19)], F(1729, 102), ("9.43e-1", "5.00e-1")),
+        ([1, 0, 1], "prediction 1 outside the open interval (0, 1)", None),
+        ([_LyingFraction(5, 7, 9), F(11, 13), F(17, 19)],
+         "prediction 9/7 outside the open interval (0, 1)", None),
+    ],
+)
+def test_curator_converts_every_entry_that_is_not_exactly_a_fraction(entries, exact, wires):
+    oracle = curator_oracle(MembershipVector(Labeling((1, 0, 1))))
+    if wires is None:
+        for ask in (oracle.exact_response, lambda e: oracle.decimal_scores(e, 3)):
+            with pytest.raises(ValidationError) as caught:
+                ask(entries)
+            assert str(caught.value) == exact
+        return
+    score = oracle.exact_response(entries)
+    assert (score.value, score.n) == (exact, 3)
+    assert tuple(s.wire() for s in oracle.decimal_scores(entries, 3)) == wires
+
+
+def test_curator_answers_a_twin_query_without_copying_its_entries():
+    # a Fraction copy and a cached split per entry once traced 0.39-0.54 MB here
+    n = 3000
+    entries = build_twin_prime_vector(n).entries
+    oracle = curator_oracle(MembershipVector.random(n, seed=7))
+    tracemalloc.start()
+    try:
+        score = oracle.exact_response(entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert score.n == n
+    assert peak <= 0.25e6
 
 
 def test_oracle_subset_queries_line_up_with_indices():

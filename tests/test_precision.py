@@ -91,11 +91,19 @@ def test_max_unique_batch_examples(phi, expected):
     assert max_unique_batch(phi) == expected
 
 
-@given(st.integers(1, 25))
-def test_max_unique_batch_is_the_exact_log(phi):
-    b = max_unique_batch(phi)
-    strings = 10**phi * (10**phi + 1)  # LL choices times AUC choices
-    assert 2**b <= strings < 2 ** (b + 1)
+def test_max_unique_batch_is_the_exact_log():
+    for phi in range(1, 2001):
+        b = max_unique_batch(phi)
+        strings = 10**phi * (10**phi + 1)  # LL choices times AUC choices
+        assert 2**b <= strings < 2 ** (b + 1), phi
+
+
+def test_max_unique_batch_multiplies_out_where_its_bracket_holds_an_integer(monkeypatch):
+    # no phi below 10^7 puts an integer in the double bracket, so a wrong
+    # constant stands in for one: at phi 1 it brackets 8.0, and neither end's
+    # floor, 7 or 8, is the count
+    monkeypatch.setattr(precision, "_LOG2_10", 4.0)
+    assert max_unique_batch(1) == 6
 
 
 @pytest.mark.parametrize(
