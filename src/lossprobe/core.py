@@ -217,7 +217,8 @@ class ExactScore:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        # type(), not isinstance: a JSON true must not pass as n = 1
+        if type(self.n) is not int or self.n < 1:
             raise ValidationError("score needs a positive dataset size")
         # the numerator alone: Fraction <= 0 multiplies (copies) both parts,
         # half a gigabyte each for a binary n = 32 score; denominators are > 0

@@ -57,12 +57,20 @@ BINARY_MAX_N = 32
 BINARY_DECIMAL_MAX_N = 4096
 
 
-def build_twin_prime_vector(n: int) -> PredictionVector:
-    """Entries p_i/(p_i + 2) over the first n lower twins (5/7, 11/13, ...)."""
+def _check_size(n: int, cap: int, what: str) -> None:
+    """The one size guard: ValidationError before any work unless 1 <= n <= cap.
+
+    what names the capped size, as in "binary construction capped at n".
+    """
     if n < 1:
         raise ValidationError("need at least one datapoint")
-    if n > TWIN_MAX_N:
-        raise ValidationError(f"twin-prime construction capped at n = {TWIN_MAX_N}")
+    if n > cap:
+        raise ValidationError(f"{what} = {cap}")
+
+
+def build_twin_prime_vector(n: int) -> PredictionVector:
+    """Entries p_i/(p_i + 2) over the first n lower twins (5/7, 11/13, ...)."""
+    _check_size(n, TWIN_MAX_N, "twin-prime construction capped at n")
     return PredictionVector(tuple(Fraction(p, p + 2) for p in twin_primes(n)))
 
 
@@ -154,10 +162,7 @@ def decode_twin_prime(score: ExactScore) -> Labeling:
 
 def build_binary_vector(n: int) -> PredictionVector:
     """Entries a_i/(1 + a_i) with a_i = 2^(2^(i-1)): 2/3, 4/5, 16/17, ..."""
-    if n < 1:
-        raise ValidationError("need at least one datapoint")
-    if n > BINARY_MAX_N:
-        raise ValidationError(f"binary construction capped at n = {BINARY_MAX_N}")
+    _check_size(n, BINARY_MAX_N, "binary construction capped at n")
     entries = []
     for i in range(1, n + 1):
         a = 1 << (1 << (i - 1))
@@ -168,6 +173,7 @@ def build_binary_vector(n: int) -> PredictionVector:
 def decode_binary(score: ExactScore) -> Labeling:
     """Read the labeling out of the reduced denominator's exponent of two."""
     n = score.n
+    _check_size(n, BINARY_MAX_N, "binary construction capped at n")
     numerator, denominator = score.value.numerator, score.value.denominator
     expected_bits = 1 << n
     if numerator.bit_length() != expected_bits:
@@ -226,10 +232,7 @@ def decode_binary_from_decimal(ll: DecimalScore, n: int) -> Labeling:
     """
     if ll.kind is not ScoreKind.LOGLOSS:
         raise ValidationError("need a log-loss score")
-    if n < 1:
-        raise ValidationError("need at least one datapoint")
-    if n > BINARY_DECIMAL_MAX_N:
-        raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
+    _check_size(n, BINARY_DECIMAL_MAX_N, "binary decimal route capped at n")
     phi, wire, width = ll.phi, Decimal(ll.digits), 1 << n
     sig = 2 * phi + 10  # _binary_ll's first precision, so ln 2 is computed once
     first, last = 1, 0
@@ -294,10 +297,7 @@ def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, D
     if phi < 1:
         raise ValidationError("need at least one significant digit")
     n = len(labels)
-    if n < 1:
-        raise ValidationError("need at least one datapoint")
-    if n > BINARY_DECIMAL_MAX_N:
-        raise ValidationError(f"binary decimal route capped at n = {BINARY_DECIMAL_MAX_N}")
+    _check_size(n, BINARY_DECIMAL_MAX_N, "binary decimal route capped at n")
     # point i has rank i, so the doubled rank sum adds 2i over the positives
     rank2 = sum(compress(range(2, 2 * n + 1, 2), labels.bits))
     auc_value = _auc_value(rank2, sum(labels.bits), n)
@@ -325,14 +325,10 @@ def build_multiclass_matrix(n: int, k: int) -> PredictionMatrix:
 
     alpha_i = 1 + p_i + ... + p_i^(k-1) normalizes each row to sum 1.
     """
-    if n < 1:
-        raise ValidationError("need at least one datapoint")
     if k < 2:
         raise ValidationError("need at least two classes")
-    if n * k > MULTICLASS_MAX_CELLS:
-        raise ValidationError(
-            f"multi-class construction capped at n * k = {MULTICLASS_MAX_CELLS}"
-        )
+    # with k >= 2, n * k < 1 exactly when n < 1
+    _check_size(n * k, MULTICLASS_MAX_CELLS, "multi-class construction capped at n * k")
     rows = []
     for p in first_primes(n):
         alpha = (p**k - 1) // (p - 1)
@@ -348,12 +344,9 @@ def decode_multiclass(score: ExactScore, k: int) -> ClassLabeling:
     k - 1.  Anything else left in M, or an exponent past k - 1, raises.
     """
     n = score.n
-    if k < 2:  # ExactScore already holds n >= 1
-        raise ValidationError("need n >= 1 and k >= 2")
-    if n * k > MULTICLASS_MAX_CELLS:
-        raise ValidationError(
-            f"multi-class construction capped at n * k = {MULTICLASS_MAX_CELLS}"
-        )
+    if k < 2:
+        raise ValidationError("need at least two classes")
+    _check_size(n * k, MULTICLASS_MAX_CELLS, "multi-class construction capped at n * k")
     primes = first_primes(n)
     alpha_product = 1
     for p in primes:

@@ -70,7 +70,8 @@ def _sieve(limit: int) -> bytearray:
         if flags[i]:
             p = 2 * i + 1
             first = p * p // 2  # p * p, the first odd multiple no smaller prime struck
-            flags[first::p] = bytes(len(range(first, size, p)))
+            # a bytearray: any other right-hand side is copied into one first
+            flags[first::p] = bytearray(len(range(first, size, p)))
     return flags
 
 

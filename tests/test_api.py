@@ -130,3 +130,26 @@ def test_every_decimal_context_comes_from_one_constructor():
                 if name == "Context" or (name == "localcontext" and bare):
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_construction_entry_point_calls_the_one_size_guard():
+    # the twin decoders are sized by the numerator they are given, which
+    # bounds their tables without a cap on the claimed n (README, "Size guards")
+    by_numerator = {"decode_twin_prime", "decode_twin_prime_value"}
+    unguarded, hand_written = [], []
+    for stmt in ast.parse((ROOT / "src" / "lossprobe" / "exact.py").read_text()).body:
+        if not isinstance(stmt, ast.FunctionDef) or stmt.name == "_check_size":
+            continue
+        calls = {
+            node.func.id
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        entry = stmt.name.startswith(("build_", "decode_")) or stmt.name.endswith("_response")
+        if entry and stmt.name not in by_numerator and "_check_size" not in calls:
+            unguarded.append(stmt.name)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Raise) and "capped at" in ast.unparse(node):
+                hand_written.append(f"{stmt.name}:{node.lineno}")
+    assert unguarded == []
+    assert hand_written == []

@@ -1,6 +1,7 @@
 """Command-line interface: documents, exit codes, and the oracle protocol."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -277,6 +278,26 @@ def test_decode_tampered_score_fails(capsys):
     code, _, stderr = run_cli(capsys, "decode", "--kind", "twin", "--score", "1729/85")
     assert code == 1
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("n", ['"3"', "2.5", "[1]", "true", "0"])
+def test_decode_document_n_must_be_a_positive_int(capsys, n):
+    code, _, stderr = run_cli(
+        capsys,
+        "decode", "--kind", "twin", "--score", "-",
+        stdin_text=f'{{"escore":"1729/170","n":{n}}}',
+    )
+    assert code == 1
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
+
+
+def test_decode_binary_refuses_a_huge_n_at_once(capsys):
+    code, out, stderr = run_cli(
+        capsys, "decode", "--kind", "binary", "--score", "3/2", "--n", "100000000000"
+    )
+    assert (code, out) == (1, "")
+    assert stderr == "error: binary construction capped at n = 32\n"
 
 
 def test_full_roundtrip_build_score_decode(tmp_path, capsys):
@@ -789,3 +810,39 @@ def test_help_exits_zero(capsys):
     assert err.value.code == 0
     out = capsys.readouterr().out
     assert "lossprobe" in out
+
+
+# golden bytes: the SHA-256 of stdout for commands whose output must not move
+
+
+GOLDEN_STDOUT = [
+    ("build twin --n 50", "a2a0f853562ef816e9e23f32c876f994480b885e9d4ddec2b6876cc9e1134829"),
+    ("build binary --n 6", "a5b76041c5cd02b18026fa1f3bb115ee4c4d66e78379fc680470eba7e6eaa9f9"),
+    ("build multiclass --n 3 --k 3", "f15a49ad4514117c8fd54247f0e593745f7a6f227a7ed0e52205f4fea05f2fc1"),
+    ("decode --kind twin --score 1729/170", "39b8dc3fc8b44765c8e6f1adee04c5b465e555ab791cc42d0d9e810d5b64297c"),
+    ("decode --kind binary --score 255/32 --n 3", "39b8dc3fc8b44765c8e6f1adee04c5b465e555ab791cc42d0d9e810d5b64297c"),
+    ("plan --n 60 --phi 1", "8cff2b349b0cc4d4bf05c84d097f4e894b80f9d01865ca64955793a035f3c898"),
+    ("plan --n 60 --phi 2", "9cbc764288e861909402e6743860b62335ffe054b559700bef873f16c17246ee"),
+    ("plan --n 60 --phi 3", "220784f08610012fd398a609a85c52648f969ff43e3941d4f2acf511607c334c"),
+    ("plan --n 60 --phi 4", "f8db62f0c83bfb6b63d8cceb44d6cbeb81fff8385a4ea3454e9dad2af38d85ed"),
+    ("plan --n 60 --phi 5", "973528f5c105051486d442c666a496648f42456969e7d6f868b1b3419235ce94"),
+    ("plan --n 60 --phi 6", "5740b3d68cad0fbb4a1f943736ca876ad1b7a3684cc220e0552e52327c12d3bf"),
+    ("plan --n 60 --phi 7", "7a4718458ca316395299c59f84a6af9723db81736789387fd5c8198cbef466c4"),
+    ("plan --n 60 --phi 8", "974dbf073725c72b2c0343e54f232bccd12f4190d226499df09a5988614d3c73"),
+    ("plan --n 60 --delta 0.002", "f6268dfa358be30a36633666c5dfbd189ba29c4541437219f7dfa4ffe394b444"),
+    ("attack-demo --n 50 --mode twin", "dd76fd49995de7fac88ceaf90713f54a6fe161847cfac1e7677a05bef4fbfee9"),
+    ("attack-demo --n 12 --mode binary", "0c96a2b143b5fcae0cb79e859e05a90fa312253f3635b6eafbb7dc03f35823b6"),
+    ("attack-demo --n 60 --mode fixed --phi 1", "256ebda831773c63b7a2de1705726f8e70521fe8b0870a7b68f40f1fd6690def"),
+    ("attack-demo --n 60 --mode fixed --phi 2", "96936e5f23f3e8e5c2dc880ea264387ee411c28176732636a4cd7d48bcde048c"),
+    ("attack-demo --n 60 --mode fixed --phi 3", "d95758b799f7bdb24d66fbbb9e9b1c5f3da934f9a23f15826dd364bb761680bf"),
+    ("attack-demo --n 60 --mode fixed --phi 4", "6106c6be9dce70d5a62bf188a1bcc57c432a751e25ee2d6ed9a375e92c91df70"),
+    ("attack-demo --n 60 --mode fixed --phi 5", "33ec1172eb7e75ffb13a4e5f25001e2c507b6cf88850780565e7044b7ec369b5"),
+    ("attack-demo --n 60 --mode fixed --phi 6", "f31eb631d9b65332028d0112d764cd1ab9406bf612a6c09888fc37978cd25b62"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[a for a, _ in GOLDEN_STDOUT])
+def test_cli_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -103,6 +103,11 @@ def test_exact_score_requires_positive_n():
         ExactScore(value=F(3, 2), n=0)
     with pytest.raises(ValidationError):
         ExactScore(value=F(-1, 2), n=1)
+    # n is exactly an int: a bool or a float is no dataset size
+    with pytest.raises(ValidationError, match="positive dataset size"):
+        ExactScore(F(7, 2), True)
+    with pytest.raises(ValidationError, match="positive dataset size"):
+        ExactScore(F(7, 2), 2.5)
 
 
 @given(st.integers(1, 5), st.integers(2, 4), st.data())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from decimal import MAX_EMAX
@@ -633,6 +634,11 @@ def test_multiclass_cell_limit():
             id="binary-vector",
         ),
         pytest.param(
+            lambda: decode_binary(ExactScore(F(3, 2), BINARY_MAX_N + 1)),
+            "binary construction capped at n = 32",
+            id="binary-decode",
+        ),
+        pytest.param(
             lambda: decode_binary_from_decimal(
                 parse_decimal_score("1.0e0", 2, ScoreKind.LOGLOSS), BINARY_DECIMAL_MAX_N + 1
             ),
@@ -675,3 +681,15 @@ def test_multiclass_cell_limit():
 def test_size_guard_rejects_one_past_its_cap(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_binary_decode_refuses_a_huge_n_before_any_work():
+    # 1 << n for the claimed n once traced 13.3 MB here before a DecodeError
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="capped at n = 32"):
+            decode_binary(ExactScore(F(3, 2), 10**8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1e6

@@ -160,6 +160,19 @@ def test_twin_table_memory_stays_near_its_flags(monkeypatch):
     assert peak <= 1.0e6
 
 
+def test_sieve_strikes_hold_no_second_buffer():
+    # a bytes right-hand side is copied into a bytearray before a strike, so
+    # each strike once held two zero buffers: 1.67 times the flags traced
+    limit = primes._twin_sieve_bound(7000)
+    tracemalloc.start()
+    try:
+        flags = primes._sieve(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * len(flags)
+
+
 @given(
     st.lists(st.integers(0, 5), min_size=4, max_size=4),
     st.integers(1, 60),
