@@ -521,12 +521,33 @@ def _widened(cap: int, digits: int) -> Iterator[None]:
         sys.set_int_max_str_digits(cap)
 
 
+# a part wider than this is quoted by its leading digits and its size:
+# str() of an int takes time quadratic in its length
+_QUOTE_BITS = 1 << 15
+
+
 def _wide_str(value: int | Fraction) -> str:
-    """str(value) at any width, for messages that quote a score's parts."""
+    """value for a message that quotes a score's parts, at any width.
+
+    Each part of up to _QUOTE_BITS bits (about 9860 digits) is written in
+    full, as str() writes it; a wider part as its first 20 digits, then
+    its digit and bit counts.
+    """
     value = Fraction(value)
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    with _int_digits(bits * 302 // 1000 + 3):
-        return str(value)
+    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    return "/".join(map(_quote_int, parts))
+
+
+def _quote_int(value: int) -> str:
+    bits = value.bit_length()
+    if bits <= _QUOTE_BITS:
+        with _int_digits(bits * 302 // 1000 + 3):
+            return str(value)
+    # value has more than (bits - 1) log10(2) digits, and 0.30103 overshoots
+    # log10(2) by under 5e-9, so one division leaves 20 or more of them
+    shift = bits * 30103 // 100000 - 21
+    head = str(value // 10**shift)
+    return f"{head[:20]}... ({shift + len(head)} digits, {bits} bits)"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -18,10 +18,10 @@ a tampered score raises DecodeError rather than decoding to wrong labels.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import partial
 from itertools import accumulate, compress
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     ClassLabeling,
@@ -41,7 +41,7 @@ from .core import (
     coprime_fraction,
 )
 from .errors import DecodeError, PrecisionError, ValidationError
-from .primes import exponents_over, first_primes, remainders, tree_product, twin_primes
+from .primes import _LEAF, exponents_over, first_primes, remainders, tree_product, twin_primes
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -69,9 +69,13 @@ def _check_size(n: int, cap: int, what: str) -> None:
 
 
 def build_twin_prime_vector(n: int) -> PredictionVector:
-    """Entries p_i/(p_i + 2) over the first n lower twins (5/7, 11/13, ...)."""
+    """Entries p_i/(p_i + 2) over the first n lower twins (5/7, 11/13, ...).
+
+    p and p + 2 are odd and 2 apart, so coprime: each numerator is the
+    table's own int, and no gcd runs.
+    """
     _check_size(n, TWIN_MAX_N, "twin-prime construction capped at n")
-    return PredictionVector(tuple(Fraction(p, p + 2) for p in twin_primes(n)))
+    return PredictionVector(tuple(coprime_fraction(p, p + 2) for p in twin_primes(n)))
 
 
 def _min_upper_bits(k: int) -> float:
@@ -83,21 +87,33 @@ def _min_upper_bits(k: int) -> float:
     return k * math.log2(6) + (math.lgamma(k + 7 / 6) - math.lgamma(7 / 6)) / math.log(2)
 
 
-def _numerator_fault(numerator: int, uppers: tuple[int, ...]) -> DecodeError:
-    """Why numerator is no prefix product of uppers: the first upper missing or repeated.
+def _upper_product(lowers: Sequence[int], n: int) -> int:
+    """prod (p + 2) over lowers[:n], read in place: no list of the uppers.
+
+    The uppers are multiplied in runs of _LEAF, as tree_product multiplies
+    its values, and the runs through its product tree.
+    """
+    return tree_product(
+        [math.prod(p + 2 for p in lowers[i : min(i + _LEAF, n)]) for i in range(0, n, _LEAF)]
+    )
+
+
+def _numerator_fault(numerator: int, lowers: Sequence[int]) -> DecodeError:
+    """Why numerator is no prefix product of the uppers: the first upper missing or repeated.
 
     Reports what peeling the uppers off one at a time would meet, from one
-    remainder tree over their squares.  uppers is a table at least as long
-    as the numerator's bit length allows, so if all of it divides once the
-    rest is smaller than the next upper, unless the table stopped at the guard.
+    remainder tree over their squares.  Either some upper of the table
+    fails to divide numerator, or the table is at least as long as the
+    numerator's bit length allows, so if all of it divides once the rest is
+    smaller than the next upper, unless the table stopped at the guard.
     """
-    squares = remainders(numerator, [u * u for u in uppers])
-    i = next((i for i, (u, r) in enumerate(zip(uppers, squares)) if r % u or not r), None)
+    squares = remainders(numerator, [(p + 2) ** 2 for p in lowers])
+    i = next((i for i, (p, r) in enumerate(zip(lowers, squares)) if r % (p + 2) or not r), None)
     if i is not None and not squares[i]:
-        return DecodeError(f"numerator contains {uppers[i]} twice")
-    if i is None and len(uppers) == TWIN_MAX_N:
+        return DecodeError(f"numerator contains {lowers[i] + 2} twice")
+    if i is None and len(lowers) == TWIN_MAX_N:
         return DecodeError("numerator demands more twin primes than the guard allows")
-    rest = numerator // tree_product(uppers[:i])
+    rest = numerator // _upper_product(lowers, len(lowers) if i is None else i)
     return DecodeError(f"numerator has an unexpected factor (stuck at {_wide_str(rest)})")
 
 
@@ -120,13 +136,20 @@ def _twin_labeling(denominator: int, lowers: tuple[int, ...]) -> Labeling:
     return Labeling(tuple(bits))
 
 
+# uppers a bare twin numerator must be divisible by before a table sized
+# by its bits is built; a power of two, so small decodes share its table
+_PREFIX = 64
+
+
 def decode_twin_prime_value(value: Fraction) -> Labeling:
     """Recover the labeling from a bare twin-prime score value; n is inferred.
 
     The table is sized once, from the numerator's bit length rounded up to
     a power of two; n is where the prefix sums of log2(p_i + 2) meet log2
     of the numerator, and the numerator must then equal the product of the
-    first n upper twins.
+    first n upper twins.  The first _PREFIX uppers are tried first: a table
+    sized by the bits is built only when they all divide the numerator, so
+    a wide junk numerator is refused off the short table.
     """
     numerator = value.numerator
     if numerator <= 1:
@@ -135,12 +158,16 @@ def decode_twin_prime_value(value: Fraction) -> Labeling:
         range(1, TWIN_MAX_N + 1), numerator.bit_length(), key=_min_upper_bits
     )
     # a power-of-two size lets values of nearby sizes share a cached table
-    lowers = twin_primes(min(1 << max(size - 1, 0).bit_length(), TWIN_MAX_N))
-    uppers = tuple(p + 2 for p in lowers)
+    size = min(1 << max(size - 1, 0).bit_length(), TWIN_MAX_N)
+    lowers = twin_primes(min(size, _PREFIX))
+    if size > _PREFIX and numerator % _upper_product(lowers, _PREFIX) == 0:
+        lowers = twin_primes(size)
     # consecutive sums differ by log2 7 or more, so half a bit absorbs float error
-    n = bisect_right(list(accumulate(map(math.log2, uppers))), math.log2(numerator) + 0.5)
-    if numerator != tree_product(uppers[:n]):
-        raise _numerator_fault(numerator, uppers)
+    bound = math.log2(numerator) + 0.5
+    sums = accumulate(math.log2(p + 2) for p in lowers)
+    n = next((i for i, s in enumerate(sums) if s > bound), len(lowers))
+    if numerator != _upper_product(lowers, n):
+        raise _numerator_fault(numerator, lowers)
     return _twin_labeling(value.denominator, lowers[:n])
 
 
@@ -151,7 +178,7 @@ def decode_twin_prime(score: ExactScore) -> Labeling:
     # too few bits for n uppers rules n out before any table is built
     if n <= TWIN_MAX_N and _min_upper_bits(n) < numerator.bit_length():
         lowers = twin_primes(n)
-        if numerator == tree_product([p + 2 for p in lowers]):
+        if numerator == _upper_product(lowers, n):
             return _twin_labeling(score.value.denominator, lowers)
     # not n uppers: decoding with n inferred names the fault or the n encoded
     labeling = decode_twin_prime_value(score.value)

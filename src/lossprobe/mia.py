@@ -49,27 +49,40 @@ class AttackMode(Enum):
     FIXED_PRECISION = "fixed"
 
 
-@dataclass(frozen=True)
 class CandidateSet:
-    """The datapoints under attack, in a fixed session order."""
+    """The datapoints under attack, in a fixed session order.
 
-    ids: tuple[str, ...]
+    A numbered set holds only its size: its names point-0, point-1, ...
+    are unique by construction and are spelled out each time ids is read.
+    """
 
-    def __post_init__(self):
-        if len(set(self.ids)) != len(self.ids):
+    __slots__ = ("_ids", "_n")
+
+    def __init__(self, ids: tuple[str, ...]):
+        if len(set(ids)) != len(ids):
             raise ValidationError("candidate ids must be unique")
-        if not self.ids:
+        if not ids:
             raise ValidationError("candidate set is empty")
+        self._ids: tuple[str, ...] | None = ids
+        self._n = len(ids)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        if self._ids is not None:
+            return self._ids
+        width = len(str(self._n - 1))
+        return tuple(f"point-{i:0{width}d}" for i in range(self._n))
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self._n
 
     @classmethod
     def numbered(cls, n: int) -> "CandidateSet":
         if n < 1:
             raise ValidationError("need at least one candidate")
-        width = len(str(n - 1))
-        return cls(tuple(f"point-{i:0{width}d}" for i in range(n)))
+        candidates = cls.__new__(cls)
+        candidates._ids, candidates._n = None, n
+        return candidates
 
 
 @dataclass(frozen=True)

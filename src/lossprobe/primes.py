@@ -127,14 +127,15 @@ def twin_primes(n: int) -> tuple[int, ...]:
     return tuple(lowers)
 
 
-def _product_tree(values: Sequence[int]) -> list[list[int]]:
+def _product_tree(values: Sequence[int]) -> list[Sequence[int]]:
     """Levels of pairwise products, leaves first and the root last.
 
     Each level halves the one below it (an odd one out is carried up as
     is), so the root is the product of all values at the cost of a few
-    balanced big-integer multiplications instead of one long chain.
+    balanced big-integer multiplications instead of one long chain.  The
+    leaves are values itself, not a copy.
     """
-    levels = [list(values)]
+    levels = [values]
     while len(levels[-1]) > 1:
         below = levels[-1]
         level = [below[i] * below[i + 1] for i in range(0, len(below) - 1, 2)]
@@ -180,7 +181,8 @@ def exponents_over(
 
     primes must be distinct primes.  One remainder tree over the p^top gives
     each exponent: top where p^top divides value, else the valuation of the
-    small remainder.  One division by the product of the p^e gives rest.
+    small remainder; at top 1 the tree's leaves are primes itself.  One
+    division by the product of the p^e gives rest.
     Only when rest is not 1 are the further powers of the primes at top
     stripped, so rest then holds no listed prime, and over lists, in the
     given order, the primes whose exponent exceeds top.
@@ -188,13 +190,14 @@ def exponents_over(
     if value < 1:
         raise ValidationError("can only factor a positive integer")
     exps = []
-    for p, r in zip(primes, remainders(value, [p**top for p in primes])):
+    moduli = primes if top == 1 else [p**top for p in primes]
+    for p, r in zip(primes, remainders(value, moduli)):
         e = 0 if r else top
         while r and r % p == 0:  # r < p^top, so this stops below top
             r //= p
             e += 1
         exps.append(e)
-    rest = value // tree_product([p**e for p, e in zip(primes, exps) if e])
+    rest = value // tree_product([p if e == 1 else p**e for p, e in zip(primes, exps) if e])
     over: list[int] = []
     if rest != 1:
         capped = [p for p, e in zip(primes, exps) if e == top]

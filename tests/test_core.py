@@ -514,6 +514,29 @@ def test_rational_roundtrip_past_interpreter_digit_cap():
         sys.set_int_max_str_digits(previous)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [2**32768 - 1, 2**32768, 10**20000 - 1, 10**20000, 3**50000 * 7, F(2**40000 + 1, 3)],
+    ids=["2^32768-1", "2^32768", "10^20000-1", "10^20000", "3^50000*7", "(2^40000+1)/3"],
+)
+def test_messages_quote_a_wide_part_by_its_leading_digits_and_size(value):
+    # str() is quadratic in the length, so past 2^15 bits a part is quoted
+    # by its first 20 digits and its size; up to it, in full
+    value = F(value)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        parts = [(x, str(x)) for x in (value.numerator, value.denominator)]
+    finally:
+        sys.set_int_max_str_digits(previous)
+    expected = [
+        text if x.bit_length() <= 1 << 15
+        else f"{text[:20]}... ({len(text)} digits, {x.bit_length()} bits)"
+        for x, text in parts
+    ]
+    assert core._wide_str(value) == "/".join(expected[:1] if value.denominator == 1 else expected)
+
+
 def test_parse_rational_rejections():
     for bad in ("abc", "1/0", "-3/4", "0", "0/5", "1/2/3", "", 1, None, ["1/2"],
                 "1_0/3", " 5/7", "+5/7", "5/ 7", "\u0665/7"):

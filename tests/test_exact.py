@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -211,6 +212,45 @@ def test_bare_twin_decodes_share_tables():
         assert decode_twin_prime_value(value).bits == bits
     # at most one table per power of two up to 512, not one per numerator size
     assert twin_primes.cache_info().misses - misses <= 10
+
+
+def test_twin_vector_numerators_are_the_table():
+    # p and p + 2 are coprime, so an entry keeps the table's own int
+    n = 500
+    entries = build_twin_prime_vector(n).entries
+    assert all(x.numerator is p for x, p in zip(entries, twin_primes(n), strict=True))
+
+
+def test_twin_decode_reads_the_table_in_place():
+    # 1.10 MB traced with a list of the uppers and p**1 copies of the lowers,
+    # 0.76 MB without
+    n = 7000
+    bits = tuple(random.Random(3).choices((0, 1), k=n))
+    score = exact_score(build_twin_prime_vector(n), Labeling(bits))
+    tracemalloc.start()
+    try:
+        labeling = decode_twin_prime(score)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labeling.bits == bits
+    assert peak < 0.93e6
+
+
+def test_junk_twin_numerator_refused_off_a_short_prefix():
+    # 3^1000000 * 7 used to build a table sized by its 1.58M bits, then
+    # quote all 477k digits of what was left: 21.8 s through the value path
+    value = F(3**1000000 * 7)
+    message = (
+        r"numerator has an unexpected factor "
+        r"\(stuck at 17977101166757438380\.\.\. \(477122 digits, 1584963 bits\)\)$"
+    )
+    for decode in (decode_twin_prime_value, lambda v: decode_twin_prime(ExactScore(v, 3))):
+        began = time.perf_counter()
+        with pytest.raises(DecodeError, match=message) as caught:
+            decode(value)
+        assert time.perf_counter() - began < 1
+        assert len(str(caught.value)) < 300
 
 
 # binary construction

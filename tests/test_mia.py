@@ -37,6 +37,35 @@ def test_candidate_set_numbered():
     assert len(CandidateSet.numbered(11).ids[0]) == len("point-00")
 
 
+def test_numbered_candidates_hold_no_names():
+    tracemalloc.start()
+    try:
+        candidates = CandidateSet.numbered(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == 10**6
+    assert peak < 1e6
+    ids = CandidateSet.numbered(1000).ids
+    assert ids[-1] == "point-999" and len(set(ids)) == 1000
+
+
+def test_one_query_twin_attack_copies_nothing_per_point():
+    # 1.70 MB traced with candidate names, gcd-copied numerators and a list
+    # of the uppers; 1.00 MB without; 1.23 MB with the numerators copied
+    n = 7000
+    twin_primes(n)
+    oracle = curator_oracle(MembershipVector.random(n, seed=3))
+    tracemalloc.start()
+    try:
+        report = one_query_attack(CandidateSet.numbered(n), oracle, AttackMode.EXACT_TWIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.accuracy == 1
+    assert peak < 1.15e6
+
+
 def test_candidate_set_validation():
     with pytest.raises(ValidationError):
         CandidateSet(("a", "a"))

@@ -1,15 +1,19 @@
-"""Wall time and peak RSS of one cold in-process twin-prime round trip.
+"""Wall time, per-part times and peak RSS of one cold in-process twin-prime round trip.
 
     python3 tools/twin_peak.py --n 100000 --seed 1
 
 Run it as a script: the interpreter it starts is the fresh process, so no
 twin table or score is cached beforehand.  lossprobe is imported from the
-`src/` next to this file.  The round trip is `run_demo` in twin mode, as
-`lossprobe attack-demo --mode twin` runs it in-process: build the vector,
-score it against seeded hidden labels, decode, assess.  It prints one JSON
-line: n, seed, the wall time of the round trip, whether every label came
-back, and `VmHWM` (the process's peak resident set, import included) from
-`/proc/self/status`.  Standard library only; `VmHWM` needs Linux.
+`src/` next to this file.  The round trip is the one `lossprobe attack-demo
+--mode twin` runs in-process, taken apart into public calls so each part
+is timed: the twin table (`twin_primes`), the attacker's vector
+(`build_twin_prime_vector`), the curator's exact score of it against
+seeded hidden labels, the attacker's decode, and the curator's assessment.
+Each object is dropped when the attack would drop it.  It prints one JSON
+line: n, seed, the wall time of the whole round trip, the wall time of
+each part, whether every label came back, and `VmHWM` (the process's peak
+resident set, import included) from `/proc/self/status`.  Standard library
+only; `VmHWM` needs Linux.
 """
 
 from __future__ import annotations
@@ -38,16 +42,47 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the hidden labels")
     args = parser.parse_args()
 
-    from lossprobe import AttackMode, run_demo
+    from lossprobe import (
+        CandidateSet,
+        MembershipVector,
+        build_twin_prime_vector,
+        curator_oracle,
+        decode_twin_prime,
+    )
+    from lossprobe.primes import twin_primes
 
-    start = time.perf_counter()
-    report = run_demo(args.n, AttackMode.EXACT_TWIN, args.seed)
-    wall = time.perf_counter() - start
+    parts = {}
+    clock = time.perf_counter()
+
+    def lap(name: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        parts[name] = round(now - clock, 3)
+        clock = now
+
+    start = clock
+    oracle = curator_oracle(MembershipVector.random(args.n, args.seed))
+    candidates = CandidateSet.numbered(args.n)  # held to the end, as the attack holds it
+    n = len(candidates)
+    lap("setup")
+    twin_primes(n)
+    lap("table")
+    entries = build_twin_prime_vector(n).entries
+    lap("build")
+    score = oracle.exact_response(entries)
+    del entries
+    lap("score")
+    recovered = MembershipVector(decode_twin_prime(score))
+    del score
+    lap("decode")
+    accuracy = oracle.assess(recovered)
+    lap("assess")
     print(json.dumps({
         "n": args.n,
         "seed": args.seed,
-        "wall_s": round(wall, 3),
-        "correct": report.accuracy == 1,
+        "wall_s": round(clock - start, 3),
+        "parts_s": parts,
+        "correct": accuracy == 1,
         "vm_hwm_mb": round(vm_hwm_mb(), 1),
     }))
     return 0
