@@ -61,8 +61,7 @@ from .mia import (
 from .precision import min_digits_for_separation, plan_batches
 
 DEFAULT_SEED = 7
-# past this, binary entries and scores are walls of digits on the wire
-# (the exponent doubles per point and str() of an int is quadratic)
+# past this, binary entries and scores are walls of digits: each point doubles the exponent
 BINARY_WIRE_MAX_N = 16
 
 

@@ -8,7 +8,9 @@ binary labels l, the per-point log-loss contributions sum to
 so exp(n * LL) is the reciprocal of prod_i (x_i if l_i = 1 else 1 - x_i),
 a ratio of integers.  Working with that reduced rational removes every
 logarithm from the pipeline: no irrational number is ever materialized,
-and scores can be compared, serialized, and factored exactly.
+and scores can be compared, serialized, and factored exactly.  Serialized,
+a score is decimal "p/q" text of any width: wide parts convert in halves,
+and the interpreter's int/str digit limit is never read or set.
 
 Rounded scores (``DecimalScore``) model a bounded-precision reporting
 channel: a value is collapsed to a fixed number of significant digits
@@ -20,8 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, ROUND_HALF_EVEN, localcontext
 from decimal import DivisionByZero, InvalidOperation, Overflow
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, ContextManager, Iterator
+from typing import Callable
 
 from .errors import ValidationError
 from .primes import tree_product
@@ -66,6 +66,10 @@ def _split_pow2(value: int) -> tuple[int, int]:
     return t, value >> t
 
 
+# True and 1.0 equal 1, so a label's type is read first (and a type always hashes)
+_BITS, _INT_ONLY = frozenset((0, 1)), frozenset((int,))
+
+
 @dataclass(frozen=True)
 class Labeling:
     """Binary labels, one per datapoint, index 1 leftmost."""
@@ -75,7 +79,7 @@ class Labeling:
     def __post_init__(self) -> None:
         if len(self.bits) < 1:
             raise ValidationError("a labeling needs at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
+        if not (_INT_ONLY.issuperset(map(type, self.bits)) and _BITS.issuperset(self.bits)):
             raise ValidationError("labeling bits must be 0 or 1")
 
     def __len__(self) -> int:
@@ -99,11 +103,11 @@ class ClassLabeling:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 2:
+        if type(self.k) is not int or self.k < 2:
             raise ValidationError("need at least two classes")
         if len(self.classes) < 1:
             raise ValidationError("a labeling needs at least one entry")
-        if any(not 1 <= c <= self.k for c in self.classes):
+        if any(type(c) is not int or not 1 <= c <= self.k for c in self.classes):
             raise ValidationError("class labels must lie in 1..k")
 
     def __len__(self) -> int:
@@ -495,34 +499,36 @@ def auc(x: PredictionVector, labels: Labeling, phi: int) -> DecimalScore:
     return _rounded_auc(auc_exact(x, labels), phi)
 
 
-_int_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0 means no cap
-_NOT_WIDENED = nullcontext()
-# no interpreter's digit cap can be set below this length
-_NEVER_CAPPED = getattr(sys.int_info, "str_digits_check_threshold", 0)
+# 2000 bits is 603 digits: leaves stay under 640, the lowest limit an interpreter accepts
+_LEAF_BITS, _LEAF_DIGITS = 2000, 600
+_pow10 = lru_cache(maxsize=32)(partial(pow, 10))
+_pow2 = lru_cache(maxsize=32)(partial(_context(MAX_PREC).power, 2))  # exact Decimals
 
 
-def _int_digits(digits: int) -> ContextManager[None]:
-    """Let int<->str conversions of this many digits through, then restore.
-
-    Scores can carry integers past the interpreter's conversion cap (4300
-    digits by default); the cap is widened for the one conversion rather
-    than truncating the wire, and never left widened for the process.
-    """
-    cap = _int_cap()
-    return _widened(cap, digits) if cap and digits > cap else _NOT_WIDENED
+def _int_text(value: int) -> str:
+    """str(value) at any width; past the leaves a Decimal prints it in linear time."""
+    return str(value if value.bit_length() <= _LEAF_BITS else _exact_decimal(value))
 
 
-@contextmanager
-def _widened(cap: int, digits: int) -> Iterator[None]:
-    sys.set_int_max_str_digits(digits + 10)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(cap)
+def _exact_decimal(value: int) -> Decimal:
+    """value as hi * 2^h + lo in exact Decimal arithmetic, which libmpdec multiplies fast."""
+    if value.bit_length() <= _LEAF_BITS:
+        return Decimal(value)
+    h, exact = value.bit_length() // 2, _context(MAX_PREC)
+    hi, lo = _exact_decimal(value >> h), _exact_decimal(value & ((1 << h) - 1))
+    return exact.add(exact.multiply(hi, _pow2(h)), lo)
 
 
-# a part wider than this is quoted by its leading digits and its size:
-# str() of an int takes time quadratic in its length
+def _text_int(digits: str) -> int:
+    """int(digits) for ASCII digits of any length: halves joined by a power of ten."""
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _text_int(digits[:-k]) * _pow10(k) + _text_int(digits[-k:])
+
+
+# a part wider than this is quoted by its leading digits and its size,
+# which keeps a message readable
 _QUOTE_BITS = 1 << 15
 
 
@@ -541,8 +547,7 @@ def _wide_str(value: int | Fraction) -> str:
 def _quote_int(value: int) -> str:
     bits = value.bit_length()
     if bits <= _QUOTE_BITS:
-        with _int_digits(bits * 302 // 1000 + 3):
-            return str(value)
+        return _int_text(value)
     # value has more than (bits - 1) log10(2) digits, and 0.30103 overshoots
     # log10(2) by under 5e-9, so one division leaves 20 or more of them
     shift = bits * 30103 // 100000 - 21
@@ -559,20 +564,15 @@ def parse_rational(text: str) -> Fraction:
     # a denominator must keep a digit other than 0
     if not (text.isascii() and p_text.isdigit() and (q_text.strip("0").isdigit() or not slash)):
         raise ValidationError(f"not a rational: {text!r}")
-    if len(text) < _NEVER_CAPPED:  # skips the cap check, a fifth of a short parse
-        p, q = int(p_text), int(q_text) if slash else 1
-    else:
-        with _int_digits(len(text)):
-            p, q = int(p_text), int(q_text) if slash else 1
+    p, q = _text_int(p_text), _text_int(q_text) if slash else 1
     if not p:
         raise ValidationError(f"expected a positive rational, got {text!r}")
     return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    with _int_digits(bits * 302 // 1000 + 3):
-        return f"{value.numerator}/{value.denominator}"
+    """value as ASCII 'p/q' in decimal, at any width; parse_rational reads it back."""
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
 _WIRE_SCORE = re.compile(r"\d(?:\.\d+)?e(-?\d+)\Z")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lossprobe.cli import BINARY_WIRE_MAX_N, _RemoteCurator, _serve_one, main
-from lossprobe.core import ExactScore, Labeling, format_rational, parse_rational
+from lossprobe.core import ExactScore, Labeling, exact_score, format_rational, parse_rational
 from lossprobe.errors import OracleProtocolError
 from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
 from lossprobe.mia import CuratorOracle, MembershipVector
@@ -493,6 +493,54 @@ def test_serve_wire_bytes(hidden_16, mode):
         assert parse_rational(binary[7:]) == Fraction((1 << (1 << 16)) - 1, 1 << exponent)
     else:
         assert binary == "LL 5.12e2 AUC 4.92e-1"
+
+
+# child processes under the lowest digit limit an interpreter accepts: wide
+# parts go out and come back in decimal without any limit being widened
+
+LOWEST_LIMIT = {"PYTHONINTMAXSTRDIGITS": "640"}
+
+
+def test_served_exact_bytes_under_the_lowest_digit_limit(tmp_path, monkeypatch):
+    labels = "".join(random.Random(640).choice("01") for _ in range(512))
+    binary_indices = json.dumps(list(range(0, 512, 32)))
+    session = (
+        f'SCORE {{"kind":"binary","n":16,"indices":{binary_indices}}}\n'
+        'SCORE {"kind":"twin","n":512}\nQUIT\n'
+    )
+    default = _serve(tmp_path, labels, "exact", session=session)
+    for name, value in LOWEST_LIMIT.items():
+        monkeypatch.setenv(name, value)
+    lowest = _serve(tmp_path, labels, "exact", session=session)
+    assert lowest == default
+    code, out, err = lowest
+    binary, twin = out.splitlines()
+    assert (code, err) == (0, "")
+    assert binary.startswith("ESCORE ") and twin.startswith("ESCORE ")
+    assert len(binary) > 19729 and len(twin) > 640
+
+
+def test_served_twin_attack_under_the_lowest_digit_limit(monkeypatch):
+    for name, value in LOWEST_LIMIT.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_proc(
+        "attack-demo", "--mode", "twin", "--n", "3000", "--transport", "subprocess"
+    )
+    assert (code, err) == (0, "")
+    report = _last_json(out)
+    assert (report["transport"], report["accuracy"]) == ("subprocess", "1/1")
+
+
+def test_decode_reads_a_wide_score_file_under_the_lowest_digit_limit(tmp_path, monkeypatch):
+    labels = Labeling(tuple(random.Random(5000).randint(0, 1) for _ in range(2000)))
+    text = format_rational(exact_score(build_twin_prime_vector(2000), labels).value)
+    assert len(text.partition("/")[0]) > 5000
+    path = tmp_path / "score.txt"
+    path.write_text(text + "\n")
+    for name, value in LOWEST_LIMIT.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_proc("decode", "--kind", "twin", "--score", str(path))
+    assert (code, out, err) == (0, labels.to_string() + "\n", "")
 
 
 JSON_SCALARS = (

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import threading
 from decimal import MAX_EMAX, ROUND_DOWN, Context, Decimal, DefaultContext, Inexact, localcontext
 from fractions import Fraction
 from functools import partial
@@ -486,6 +487,25 @@ def test_class_labeling_roundtrip():
         ClassLabeling.from_string("a,b", 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Labeling((True, False, True)),
+        lambda: Labeling((1.0, 0.0, 1.0)),
+        lambda: Labeling((1, 0, [1])),
+        lambda: ClassLabeling((1.5, 2), 2),
+        lambda: ClassLabeling((True, 2), 2),
+        lambda: ClassLabeling((1, 2), 2.0),
+    ],
+    ids=["bool bits", "float bits", "list bit", "float class", "bool class", "float k"],
+)
+def test_labels_must_be_ints(build):
+    # a bool or a float equal to 0, 1 or a class passed the value checks, and
+    # failed later: to_string wrote 'TrueFalseTrue', scoring raised TypeError
+    with pytest.raises(ValidationError, match="bits must be 0 or 1|lie in 1..k|two classes"):
+        build()
+
+
 # rational wire format
 
 
@@ -535,6 +555,117 @@ def test_messages_quote_a_wide_part_by_its_leading_digits_and_size(value):
         for x, text in parts
     ]
     assert core._wide_str(value) == "/".join(expected[:1] if value.denominator == 1 else expected)
+
+
+def _without_limit(convert, values):
+    """[convert(v) for v in values] with the interpreter's digit limit off."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [convert(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _p_q(value):
+    return f"{value.numerator}/{value.denominator}"
+
+
+# 10^k - 1, 10^k and 10^k + 1 around the 600-digit reading leaf, and
+# 2^k - 1, 2^k and 2^k + 1 around the 2000-bit writing leaf, then wide values
+_LEAF_EDGES = [
+    base + d
+    for base in (10**599, 10**600, 10**601, 10**1200, 2**1999, 2**2000, 2**2001, 2**4000)
+    for d in (-1, 0, 1)
+]
+_WIDE = [2**65536 - 1, 7**6000, 10**20000 + 1, 3**50000 * 7]
+
+
+def test_wide_parts_convert_without_touching_the_digit_limit(monkeypatch):
+    # under the lowest limit an interpreter accepts, with the setter gone:
+    # a conversion that widened the limit, even for a moment, fails here
+    values = [F(v) for v in _LEAF_EDGES + _WIDE] + [F(7**6000, 3), F(2**65536 - 1, 10**5000)]
+    expected = _without_limit(_p_q, values)
+    quoted = [core._wide_str(v) for v in values]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+
+    def refuse(maxdigits):
+        raise AssertionError(f"the digit limit was set to {maxdigits}")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    try:
+        for value, text, quote in zip(values, expected, quoted):
+            assert format_rational(value) == text
+            assert parse_rational(text) == value
+            assert core._wide_str(value) == quote
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        monkeypatch.undo()
+        sys.set_int_max_str_digits(previous)
+
+
+def test_wide_conversions_from_threads_leave_the_digit_limit_alone():
+    # four threads round-trip 5k-20k-digit values under a 640-digit limit;
+    # a widening that restores the limit races with the others' widenings
+    rng = random.Random(26)
+    values = [F(rng.getrandbits(rng.randint(16600, 66400)) | 1, rng.getrandbits(16600) | 1)
+              for _ in range(16)]
+    texts = _without_limit(_p_q, values)
+    previous, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
+    seen_limits, errors = set(), []
+
+    def work(offset):
+        try:
+            for _ in range(3):
+                for i in range(offset, len(values), 4):
+                    assert format_rational(values[i]) == texts[i]
+                    assert parse_rational(texts[i]) == values[i]
+                    seen_limits.add(sys.get_int_max_str_digits())
+        except Exception as exc:  # reported below, with the thread's work
+            errors.append(repr(exc))
+
+    sys.set_int_max_str_digits(640)
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert (errors, seen_limits, sys.get_int_max_str_digits()) == ([], {640}, 640)
+    finally:
+        sys.setswitchinterval(interval)
+        sys.set_int_max_str_digits(previous)
+
+
+# digit strings up to ~30k long, of random stretches and runs of zeros and
+# nines, so that the halves both conversions split at often start or end
+# in a run (a leading-zero half, a carry across a split)
+_DIGIT_RUNS = st.lists(
+    st.one_of(
+        st.integers(1, 8000).map(lambda k: "0" * k),
+        st.integers(1, 8000).map(lambda k: "9" * k),
+        st.integers(0, 10**4000).map(str),
+    ),
+    min_size=1,
+    max_size=16,
+).map(lambda runs: "".join(runs)[:30000])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DIGIT_RUNS, _DIGIT_RUNS.filter(lambda d: d.strip("0")))
+def test_wide_rationals_match_str_at_any_width(p_digits, q_digits):
+    p_digits = "1" + p_digits  # a positive numerator
+    value = F(*_without_limit(int, (p_digits, q_digits)))
+    [expected] = _without_limit(_p_q, [value])
+    assert parse_rational(f"{p_digits}/{q_digits}") == value
+    assert format_rational(value) == expected
+    foreign = Context(prec=2, rounding=ROUND_DOWN, Emax=10, Emin=-10)
+    with localcontext(foreign):
+        assert format_rational(value) == expected
+        assert parse_rational(expected) == value
 
 
 def test_parse_rational_rejections():
