@@ -139,6 +139,11 @@ def _sub_labels(hidden: Labeling, count: int, indices: Sequence[int] | None) -> 
     any prediction vector is built.
     """
     bits = hidden.bits
+    # type(), not isinstance: True (JSON true) must not pass as index 1
+    if indices is not None and (
+        not isinstance(indices, (list, tuple)) or any(type(i) is not int for i in indices)
+    ):
+        raise ValidationError("indices must be a list of integers")
     if count != (len(bits) if indices is None else len(indices)):
         raise ValidationError("length")
     if indices is None:

@@ -2,12 +2,16 @@
 
 The label-recovery constructions lean on two prime sequences: the lower
 members of twin prime pairs starting at (5, 7), and the plain primes
-2, 3, 5, ... used by the multi-class encoding.  Both come from one byte
-sieve of Eratosthenes, sized once from an estimate of where the n-th prime
-or twin pair lies.  The sieve keeps one flag per odd number only, so a
-twin pair is two adjacent set flags, and every twin entry is re-checked
-with an independent deterministic twelve-base Miller-Rabin test, so a
-sieve bug cannot silently corrupt an encoding.
+2, 3, 5, ... used by the multi-class encoding.  Both come from a sieve of
+Eratosthenes that keeps one byte flag per odd number only.  The plain
+primes are sieved whole up to an estimate of where the n-th prime lies.
+The twin pairs come from a segmented scan up to a bound computed once
+from an estimate of where the n-th pair lies: it flags the odd numbers one
+segment at a time, so its memory is bounded by one segment whatever the
+table size, finds a pair as two adjacent set flags, and stops at the n-th
+pair.  Every twin entry is re-checked with an independent deterministic
+twelve-base Miller-Rabin test, so a sieve bug cannot silently corrupt an
+encoding.
 
 The exact decoders read labels through one exponent reader,
 exponents_over: each listed prime's exponent capped at a given top, what
@@ -21,7 +25,7 @@ import math
 import re
 from functools import lru_cache
 from itertools import compress, islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -56,22 +60,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _strike(flags: bytearray, origin: int, p: int) -> None:
+    """Clear the flag of every odd multiple of p from p * p on, in flags whose
+    byte i stands for the odd number origin + 2i.
+
+    An odd multiple of p is p apart from the next in flag index; the ones
+    below p * p have a smaller prime factor, which strikes them.
+    """
+    k = max(p, -(-origin // p)) | 1  # the least odd k >= p with k * p >= origin
+    first = (k * p - origin) // 2
+    # a bytearray: any other right-hand side is copied into one first
+    flags[first::p] = bytearray(len(range(first, len(flags), p)))
+
+
 def _sieve(limit: int) -> bytearray:
     """Flags for the odd numbers 1, 3, ... up to limit (limit >= 1): byte i is
     1 exactly when 2i + 1 is prime (Eratosthenes).
 
     No even number gets a flag, which halves the bytes against one per
-    integer; an odd multiple of p is p apart from the next in flag index.
+    integer.
     """
-    size = (limit + 1) // 2
-    flags = bytearray([1]) * size
+    flags = bytearray([1]) * ((limit + 1) // 2)
     flags[0] = 0  # 1 is not prime
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if flags[i]:
-            p = 2 * i + 1
-            first = p * p // 2  # p * p, the first odd multiple no smaller prime struck
-            # a bytearray: any other right-hand side is copied into one first
-            flags[first::p] = bytearray(len(range(first, size, p)))
+            _strike(flags, 1, 2 * i + 1)
     return flags
 
 
@@ -109,6 +122,37 @@ def _twin_sieve_bound(n: int) -> int:
 
 _TWIN_GAP = re.compile(b"\x01\x01")  # the flags of p and p + 2, odd numbers side by side
 
+# odd numbers flagged at a time by the twin scan: its memory, whatever the table size
+_SEGMENT = 1 << 16
+
+
+def _twin_lowers(limit: int) -> Iterator[int]:
+    """The lower members p >= 5 of the twin pairs with p + 2 <= limit, ascending.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
+    odd numbers from 5 are flagged _SEGMENT at a time and struck by the odd
+    primes up to sqrt(limit), so one segment is all the scan holds.  The
+    last flag of a segment is carried into the next, so a pair that
+    straddles the boundary is found too.  A consumer that stops early
+    stops the scan.
+    """
+    base = sieve_primes(math.isqrt(limit))[1:]  # 2 strikes no odd number
+    carry = 0
+    for origin in range(5, limit + 1, 2 * _SEGMENT):
+        flags = bytearray([1]) * min(_SEGMENT, (limit - origin) // 2 + 1)
+        end = origin + 2 * len(flags) - 2
+        for p in base:
+            if p * p > end:
+                break
+            _strike(flags, origin, p)
+        if carry and flags[0]:
+            yield origin - 2
+        # from 5 no match overlaps the next: p, p + 2, p + 4 prime needs p = 3;
+        # no match, which holds flags, outlives the generator expression
+        yield from (origin + 2 * m.start() for m in _TWIN_GAP.finditer(flags))
+        carry = flags[-1]
+        del flags  # freed before the next segment is flagged
+
 
 @lru_cache(maxsize=8)
 def twin_primes(n: int) -> tuple[int, ...]:
@@ -116,15 +160,14 @@ def twin_primes(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValidationError("twin-prime table size must be >= 1")
     limit = _twin_sieve_bound(n)
-    # from 5 (flag 2) no match overlaps the next: p, p + 2, p + 4 prime needs p = 3
-    lowers = [2 * m.start() + 1 for m in islice(_TWIN_GAP.finditer(_sieve(limit), 2), n)]
+    lowers = tuple(islice(_twin_lowers(limit), n))
     if len(lowers) < n:
         raise ValidationError(f"the twin sieve found fewer than {n} pairs below {limit}")
     for p in lowers:
         # independent route: the sieve result must survive Miller-Rabin
         if not (is_prime(p) and is_prime(p + 2)):
             raise ValidationError(f"sieve produced a non-twin entry {p}")
-    return tuple(lowers)
+    return lowers
 
 
 def _product_tree(values: Sequence[int]) -> list[Sequence[int]]:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from lossprobe.cli import BINARY_WIRE_MAX_N, _RemoteCurator, _serve_one, main
 from lossprobe.core import ExactScore, Labeling, exact_score, format_rational, parse_rational
-from lossprobe.errors import OracleProtocolError
+from lossprobe.errors import OracleProtocolError, ValidationError
 from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
 from lossprobe.mia import CuratorOracle, MembershipVector
 
@@ -701,6 +701,22 @@ def test_local_and_served_answers_agree(phi):
                 doc["indices"] = indices
             local = wire_line(oracle._answer(query, n, indices, phi))
             assert local == _serve_one(hidden, json.dumps(doc), phi), doc
+
+
+@pytest.mark.parametrize("indices", [[True], [1.0], [0, False], (1.0,), "0", {"0": 1}])
+def test_both_curators_refuse_indices_that_are_not_ints(indices):
+    # True would score point 1 and 1.0 fail later with a bare TypeError
+    hidden = Labeling.from_string(HIDDEN_16)
+    oracle = CuratorOracle(MembershipVector(hidden))
+    entries = [Fraction(5, 7)] * len(indices)
+    with pytest.raises(ValidationError, match="^indices must be a list of integers$"):
+        oracle.exact_response(entries, indices=indices)
+    with pytest.raises(ValidationError, match="^indices must be a list of integers$"):
+        oracle.decimal_scores(entries, 2, indices=indices)
+    assert oracle.queries_used == 0
+    doc = {"entries": [format_rational(e) for e in entries], "indices": indices}
+    with pytest.raises(ValidationError, match="^indices must be a list of integers$"):
+        _serve_one(hidden, json.dumps(doc), None)
 
 
 # attack demo

@@ -1,6 +1,7 @@
 """Prime utilities: dual-route primality, twin pairs, the exponent reader."""
 
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -116,48 +117,69 @@ def _spy(monkeypatch, name):
 
 
 def test_cold_twin_table_sieves_once_and_rechecks_every_entry(monkeypatch):
-    sieves, checks = _spy(monkeypatch, "_sieve"), _spy(monkeypatch, "is_prime")
+    bounds, scans = _spy(monkeypatch, "_twin_sieve_bound"), _spy(monkeypatch, "_twin_lowers")
+    checks = _spy(monkeypatch, "is_prime")
     lowers = twin_primes.__wrapped__(500)
-    assert len(sieves) == 1
+    assert bounds == [500] and len(scans) == 1
     # the independent Miller-Rabin route sees every p and p + 2, and nothing else
     assert checks == [q for p in lowers for q in (p, p + 2)]
 
 
 def test_twin_table_refuses_a_short_sieve_at_once(monkeypatch):
     # the bound reaches every table entry up to the cap (pinned below), so a
-    # shortfall is a fault to report, not a reason to sieve again
+    # shortfall is a fault to report, not a reason to scan again
     monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 16)
-    sieves = _spy(monkeypatch, "_sieve")
+    scans = _spy(monkeypatch, "_twin_lowers")
     with pytest.raises(ValidationError, match="fewer than 10 pairs below 16"):
         twin_primes.__wrapped__(10)
-    assert sieves == [16]
+    assert scans == [16]
 
 
 def test_sieve_sized_once_reaches_the_last_table_entry(monkeypatch):
-    # the twelve-base re-check is pinned above; here only the sieve runs
+    # the twelve-base re-check is pinned above; here only the scan runs
     monkeypatch.setattr(primes, "is_prime", lambda k: True)
-    sieves = _spy(monkeypatch, "_sieve")
+    scans = _spy(monkeypatch, "_twin_lowers")
     lowers = twin_primes.__wrapped__(TWIN_MAX_N)
-    assert len(sieves) == 1
+    assert len(scans) == 1
     assert lowers[-1] == 18_409_541
     # every table size up to the cap is sized once: its bound is past its last pair
     bound = primes._twin_sieve_bound
     assert [n for n in range(1, TWIN_MAX_N + 1) if bound(n) < lowers[n - 1] + 2] == []
 
 
+@pytest.mark.parametrize("segment", range(1, 65))
+def test_twin_scan_finds_the_pairs_across_segment_boundaries(monkeypatch, segment):
+    # the re-check would mask a scan fault as a ValidationError; compare the scan
+    monkeypatch.setattr(primes, "is_prime", lambda k: True)
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    reference = trial_division_twins(3000)
+    # the scan of a one-flag segment takes seconds to the 3000th pair, so
+    # the full table is checked at the widest segments only
+    sizes = (1, 2, 3, 4, 7, 30, 100, 300) + ((3000,) if segment > 60 else ())
+    for n in sizes:
+        assert twin_primes.__wrapped__(n) == reference[:n]
+    # p straddles when its flag, (p - 5) / 2 from the first, ends a segment;
+    # then p = 3 + 2 * segment * k, so a segment divisible by 3 or 5 puts a
+    # multiple of 3 at p or of 5 at p + 2, and no pair can straddle
+    straddling = [p for p in reference[:300] if (p - 3) % (2 * segment) == 0]
+    assert straddling or segment % 3 == 0 or segment % 5 == 0
+
+
 def test_twin_table_memory_stays_near_its_flags(monkeypatch):
     # a list and a set of every prime below the bound once peaked at 12.1 MB,
-    # and a flag for every integer, even ones included, at 2.03 MB; odd-only
-    # flags trace 0.85 MB.  The re-check keeps nothing past a call, and
-    # traced it takes seconds
+    # a flag for every integer at 2.03 MB, and a flag for every odd number
+    # up to the bound at 0.85 MB.  The scan holds one segment and a strike
+    # buffer a third its size; the rest is the table itself and the tuple's
+    # growth.  The re-check keeps nothing past a call, and traced it takes seconds
     monkeypatch.setattr(primes, "is_prime", lambda k: True)
     tracemalloc.start()
     try:
-        twin_primes.__wrapped__(7000)
+        lowers = twin_primes.__wrapped__(7000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.0e6
+    table = sys.getsizeof(lowers) + sum(map(sys.getsizeof, lowers))
+    assert peak <= table + 2 * primes._SEGMENT
 
 
 def test_sieve_strikes_hold_no_second_buffer():

@@ -12,8 +12,9 @@ seeded hidden labels, the attacker's decode, and the curator's assessment.
 Each object is dropped when the attack would drop it.  It prints one JSON
 line: n, seed, the wall time of the whole round trip, the wall time of
 each part, whether every label came back, and `VmHWM` (the process's peak
-resident set, import included) from `/proc/self/status`.  Standard library
-only; `VmHWM` needs Linux.
+resident set, import included) from `/proc/self/status`, both at the end
+and after each part.  The table is the first part after set-up, so
+`VmHWM` after it is the table's own peak.  Standard library only; `VmHWM` needs Linux.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ def main() -> int:
     from lossprobe.primes import twin_primes
 
     parts = {}
+    peaks = {}
     clock = time.perf_counter()
 
     def lap(name: str) -> None:
         nonlocal clock
         now = time.perf_counter()
         parts[name] = round(now - clock, 3)
+        peaks[name] = round(vm_hwm_mb(), 1)
         clock = now
 
     start = clock
@@ -82,6 +85,7 @@ def main() -> int:
         "seed": args.seed,
         "wall_s": round(clock - start, 3),
         "parts_s": parts,
+        "vm_hwm_mb_after": peaks,
         "correct": accuracy == 1,
         "vm_hwm_mb": round(vm_hwm_mb(), 1),
     }))
