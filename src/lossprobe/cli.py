@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ClassLabeling,
@@ -59,6 +57,9 @@ from .mia import (
     run_demo,
 )
 from .precision import min_digits_for_separation, plan_batches
+
+if TYPE_CHECKING:  # loaded at run time by _subprocess_demo alone
+    import subprocess
 
 DEFAULT_SEED = 7
 # past this, binary entries and scores are walls of digits: each point doubles the exponent
@@ -345,27 +346,29 @@ def _subprocess_demo(
             f"binary entries past n = {BINARY_WIRE_MAX_N} are walls of digits on the wire; "
             "run this attack with --transport inproc"
         )
+    # imported here, the one path that starts a server, to keep every other start light
+    import subprocess
+    import tempfile
     hidden = MembershipVector.random(n, seed)
     with tempfile.NamedTemporaryFile("w", suffix=".labels", delete=False) as handle:
         handle.write(hidden.bits.to_string() + "\n")
         labels_path = handle.name
     cmd = [sys.executable, "-m", "lossprobe", "oracle-serve", "--labels", labels_path]
     cmd += ["--mode", "exact"] if phi is None else ["--mode", "decimal", "--phi", str(phi)]
-    proc = subprocess.Popen(
-        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-    )
     try:
-        report = _attack(_RemoteCurator(proc, hidden, phi), n, mode, phi)
-    finally:
+        proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         try:
-            # QUIT, then EOF: the server is reaped once its stdout closes,
-            # where wait(timeout=...) would poll with doubling sleeps
-            proc.communicate("QUIT\n", timeout=10)
-        except (OSError, subprocess.TimeoutExpired):
-            proc.kill()
-            proc.wait()
+            return _attack(_RemoteCurator(proc, hidden, phi), n, mode, phi)
+        finally:
+            try:
+                # QUIT, then EOF: the server is reaped once its stdout closes,
+                # where wait(timeout=...) would poll with doubling sleeps
+                proc.communicate("QUIT\n", timeout=10)
+            except (OSError, subprocess.TimeoutExpired):
+                proc.kill()
+                proc.wait()
+    finally:  # the hidden bits leave no file behind, even if the server never starts
         Path(labels_path).unlink(missing_ok=True)
-    return report
 
 
 def _cmd_attack_demo(args: argparse.Namespace) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, ROUND_HALF_EVEN, localcontext
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from enum import Enum
@@ -70,17 +69,52 @@ def _split_pow2(value: int) -> tuple[int, int]:
 _BITS, _INT_ONLY = frozenset((0, 1)), frozenset((int,))
 
 
-@dataclass(frozen=True)
-class Labeling:
+class _Frozen:
+    """An immutable record, as dataclass(frozen=True) makes one, without its import.
+
+    A subclass annotates its fields in order, and its own __init__ writes
+    them into the instance __dict__.  ==, hash, repr and the AttributeError
+    on assignment or deletion are a frozen dataclass's.
+    """
+
+    __match_args__: tuple[str, ...] = ()  # the fields, in order
+
+    def __init_subclass__(cls) -> None:  # those inherited, then the class's own
+        cls.__match_args__ += tuple(cls.__annotations__)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Labeling(_Frozen):
     """Binary labels, one per datapoint, index 1 leftmost."""
 
     bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.bits) < 1:
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        if len(bits) < 1:
             raise ValidationError("a labeling needs at least one bit")
-        if not (_INT_ONLY.issuperset(map(type, self.bits)) and _BITS.issuperset(self.bits)):
+        if not (_INT_ONLY.issuperset(map(type, bits)) and _BITS.issuperset(bits)):
             raise ValidationError("labeling bits must be 0 or 1")
+        self.__dict__["bits"] = bits
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -95,20 +129,20 @@ class Labeling:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class ClassLabeling:
+class ClassLabeling(_Frozen):
     """Multi-class labels in 1..k, one per datapoint."""
 
     classes: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
-        if type(self.k) is not int or self.k < 2:
+    def __init__(self, classes: tuple[int, ...], k: int) -> None:
+        if type(k) is not int or k < 2:
             raise ValidationError("need at least two classes")
-        if len(self.classes) < 1:
+        if len(classes) < 1:
             raise ValidationError("a labeling needs at least one entry")
-        if any(type(c) is not int or not 1 <= c <= self.k for c in self.classes):
+        if any(type(c) is not int or not 1 <= c <= k for c in classes):
             raise ValidationError("class labels must lie in 1..k")
+        self.__dict__.update(classes=classes, k=k)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -125,8 +159,7 @@ class ClassLabeling:
         return ",".join(str(c) for c in self.classes)
 
 
-@dataclass(frozen=True)
-class PredictionVector:
+class PredictionVector(_Frozen):
     """Per-point probabilities of the positive class, each strictly in (0, 1).
 
     Endpoints are rejected up front: a probability of exactly 0 or 1 makes
@@ -136,10 +169,10 @@ class PredictionVector:
 
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
+    def __init__(self, entries: tuple[Fraction, ...]) -> None:
+        if len(entries) < 1:
             raise ValidationError("a prediction vector needs at least one entry")
-        for x in self.entries:
+        for x in entries:
             if not isinstance(x, Fraction):
                 raise ValidationError("entries must be Fractions")
             # integer parts, not Fraction comparisons: those multiply the
@@ -148,6 +181,7 @@ class PredictionVector:
                 raise ValidationError(
                     f"prediction {_wide_str(x)} outside the open interval (0, 1)"
                 )
+        self.__dict__["entries"] = entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -184,19 +218,18 @@ class PredictionVector:
         return shift, folded * rest if rest > 1 else folded
 
 
-@dataclass(frozen=True)
-class PredictionMatrix:
+class PredictionMatrix(_Frozen):
     """Row-stochastic class probabilities: rows[i][c] in (0, 1), each row sums to 1."""
 
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) < 1:
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]) -> None:
+        if len(rows) < 1:
             raise ValidationError("a prediction matrix needs at least one row")
-        k = len(self.rows[0])
+        k = len(rows[0])
         if k < 2:
             raise ValidationError("need at least two classes per row")
-        for row in self.rows:
+        for row in rows:
             if len(row) != k:
                 raise ValidationError("ragged prediction matrix")
             for x in row:
@@ -204,6 +237,7 @@ class PredictionMatrix:
                     raise ValidationError("matrix entries must be Fractions in (0, 1)")
             if sum(row) != 1:
                 raise ValidationError("each row must sum to exactly 1")
+        self.__dict__["rows"] = rows
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -213,21 +247,21 @@ class PredictionMatrix:
         return len(self.rows[0])
 
 
-@dataclass(frozen=True)
-class ExactScore:
+class ExactScore(_Frozen):
     """exp(n * LL) as a reduced rational, with the dataset size it belongs to."""
 
     value: Fraction
     n: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: Fraction, n: int) -> None:
         # type(), not isinstance: a JSON true must not pass as n = 1
-        if type(self.n) is not int or self.n < 1:
+        if type(n) is not int or n < 1:
             raise ValidationError("score needs a positive dataset size")
         # the numerator alone: Fraction <= 0 multiplies (copies) both parts,
         # half a gigabyte each for a binary n = 32 score; denominators are > 0
-        if self.value.numerator <= 0:
+        if value.numerator <= 0:
             raise ValidationError("exact scores are positive by construction")
+        self.__dict__.update(value=value, n=n)
 
 
 class ScoreKind(Enum):
@@ -236,8 +270,7 @@ class ScoreKind(Enum):
     AUC_NOT_DEFINED = "auc_not_defined"
 
 
-@dataclass(frozen=True)
-class DecimalScore:
+class DecimalScore(_Frozen):
     """A value rounded half-even to exactly phi significant digits.
 
     ``digits`` is the normalized scientific form, e.g. ``"6.93e-1"``;
@@ -249,14 +282,15 @@ class DecimalScore:
     phi: int
     kind: ScoreKind
 
-    def __post_init__(self) -> None:
-        if self.phi < 1:
+    def __init__(self, digits: str, phi: int, kind: ScoreKind) -> None:
+        if phi < 1:
             raise ValidationError("need at least one significant digit")
-        if self.kind is ScoreKind.AUC_NOT_DEFINED:
-            if self.digits:
+        if kind is ScoreKind.AUC_NOT_DEFINED:
+            if digits:
                 raise ValidationError("an undefined AUC carries no digits")
-        elif not self.digits:
+        elif not digits:
             raise ValidationError("a defined score needs digits")
+        self.__dict__.update(digits=digits, phi=phi, kind=kind)
 
     def wire(self) -> str:
         return "ND" if self.kind is ScoreKind.AUC_NOT_DEFINED else self.digits

@@ -23,7 +23,6 @@ that answers a query.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Protocol, Sequence
@@ -33,6 +32,7 @@ from .core import (
     ExactScore,
     Labeling,
     PredictionVector,
+    _Frozen,
     auc,
     exact_score,
     logloss_decimal,
@@ -85,11 +85,13 @@ class CandidateSet:
         return candidates
 
 
-@dataclass(frozen=True)
-class MembershipVector:
+class MembershipVector(_Frozen):
     """One bit per candidate: 1 means the point was in the training set."""
 
     bits: Labeling
+
+    def __init__(self, bits: Labeling) -> None:
+        self.__dict__["bits"] = bits
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -100,16 +102,24 @@ class MembershipVector:
         return cls(Labeling(tuple(rng.randint(0, 1) for _ in range(n))))
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(_Frozen):
     """Outcome of one attack run, assessed on the curator side."""
 
     mode: AttackMode
     queries_used: int
     recovered: MembershipVector
     accuracy: Fraction
-    phi: int | None = None
-    plan: AttackPlan | None = None
+    phi: int | None
+    plan: AttackPlan | None
+
+    def __init__(
+        self, mode: AttackMode, queries_used: int, recovered: MembershipVector,
+        accuracy: Fraction, phi: int | None = None, plan: AttackPlan | None = None,
+    ) -> None:
+        self.__dict__.update(
+            mode=mode, queries_used=queries_used, recovered=recovered,
+            accuracy=accuracy, phi=phi, plan=plan,
+        )
 
 
 class ScoringView:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -32,6 +31,7 @@ from .core import (
     DecimalScore,
     Labeling,
     PredictionVector,
+    _Frozen,
     _auc_value,
     _bracket_wire,
     _rounded_auc,
@@ -158,13 +158,15 @@ def curated_batch_vector(phi: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, d) for a, d in pairs)
 
 
-@dataclass(frozen=True)
-class TupleLookup:
+class TupleLookup(_Frozen):
     """Inverse table from (LL wire, AUC wire) pairs back to labelings."""
 
     entries: tuple[Fraction, ...]
     phi: int
     table: Mapping[tuple[str, str], tuple[int, ...]]
+
+    def __init__(self, entries: tuple[Fraction, ...], phi: int, table: Mapping) -> None:
+        self.__dict__.update(entries=entries, phi=phi, table=table)
 
     def labeling_for(self, ll: DecimalScore, auc_score: DecimalScore) -> Labeling:
         ll_wire, auc_wire = ll.wire(), auc_score.wire()
@@ -289,16 +291,17 @@ def build_tuple_lookup(b: int, phi: int) -> TupleLookup:
     return found
 
 
-@dataclass(frozen=True)
-class BatchSpec:
+class BatchSpec(_Frozen):
     """One planned oracle query: which indices, padded by which recovered ones."""
 
     indices: tuple[int, ...]
-    fill: tuple[int, ...] = ()  # already-recovered indices used as padding
+    fill: tuple[int, ...]  # already-recovered indices used as padding
+
+    def __init__(self, indices: tuple[int, ...], fill: tuple[int, ...] = ()) -> None:
+        self.__dict__.update(indices=indices, fill=fill)
 
 
-@dataclass(frozen=True)
-class AttackPlan:
+class AttackPlan(_Frozen):
     """Query schedule for recovering n labels from a phi-digit oracle."""
 
     n: int
@@ -308,6 +311,15 @@ class AttackPlan:
     method: str  # "tuple-table" or "binary-decimal"
     batch_size: int
     batches: tuple[BatchSpec, ...]
+
+    def __init__(
+        self, n: int, phi: int, pigeonhole_batch: int, bound: int, method: str,
+        batch_size: int, batches: tuple[BatchSpec, ...],
+    ) -> None:
+        self.__dict__.update(
+            n=n, phi=phi, pigeonhole_batch=pigeonhole_batch, bound=bound,
+            method=method, batch_size=batch_size, batches=batches,
+        )
 
     @property
     def planned_queries(self) -> int:

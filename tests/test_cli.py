@@ -8,8 +8,10 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -789,6 +791,27 @@ def test_served_binary_attack_refused_past_the_wire_cap(capsys, monkeypatch):
     )
     assert code == 0
     assert _last_json(out)["accuracy"] == "1/1"
+
+
+def test_served_attack_leaves_no_labels_file_when_the_server_fails_to_start(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    commands = []
+
+    def refuse(cmd, **kwargs):
+        commands.append(cmd)
+        raise OSError("no server today")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    with pytest.raises(OSError, match="no server today"):
+        main(["attack-demo", "--n", "20", "--mode", "twin", "--transport", "subprocess"])
+    [cmd] = commands
+    labels = Path(cmd[cmd.index("--labels") + 1])
+    assert labels.parent == tmp_path and labels.suffix == ".labels"
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
 
 
 def test_attack_demo_phi_needs_fixed_mode(capsys):
