@@ -20,11 +20,13 @@ a query, its parsed vector or its construction name, and answer it through
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable, NoReturn, Sequence, TextIO
 
 from .core import (
     ClassLabeling,
@@ -57,9 +59,6 @@ from .mia import (
     run_demo,
 )
 from .precision import min_digits_for_separation, plan_batches
-
-if TYPE_CHECKING:  # loaded at run time by _subprocess_demo alone
-    import subprocess
 
 DEFAULT_SEED = 7
 # past this, binary entries and scores are walls of digits: each point doubles the exponent
@@ -263,22 +262,28 @@ def _serve_one(hidden: Labeling, doc_text: str, phi: int | None) -> str:
     return f"LL {ll.wire()} AUC {auc_score.wire()}"
 
 
-def _cmd_oracle_serve(args: argparse.Namespace) -> int:
-    hidden = Labeling.from_string(_read_text(args.labels).strip())
-    for raw in sys.stdin:
+def _serve(hidden: Labeling, phi: int | None, lines: Iterable[str], out: TextIO) -> None:
+    """The oracle loop: one reply line on `out` per request line, until QUIT or EOF."""
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
         if line == "QUIT":
             break
         if not line.startswith("SCORE "):
-            print("ERR unknown command", flush=True)
-            continue
-        try:
-            response = _serve_one(hidden, line[6:], args.phi)
-        except LossProbeError as e:
-            response = "ERR " + " ".join(str(e).split())
-        print(response, flush=True)
+            response = "ERR unknown command"
+        else:
+            try:
+                response = _serve_one(hidden, line[6:], phi)
+            except LossProbeError as e:
+                response = "ERR " + " ".join(str(e).split())
+        out.write(response + "\n")
+        out.flush()
+
+
+def _cmd_oracle_serve(args: argparse.Namespace) -> int:
+    hidden = Labeling.from_string(_read_text(args.labels).strip())
+    _serve(hidden, args.phi, sys.stdin, sys.stdout)
     return 0
 
 
@@ -286,21 +291,23 @@ def _cmd_oracle_serve(args: argparse.Namespace) -> int:
 
 
 class _RemoteCurator(CuratorOracle):
-    """A curator whose answers come from an `oracle-serve` process.
+    """A curator whose answers come from an `oracle-serve` loop at the far end of two pipes.
 
     Only the transport differs from the in-process curator: _answer
-    serializes each query onto the pipe and parses the reply.  The hidden
-    bits stay here, on the curator's side of the process boundary, for
-    after-the-fact grading.
+    serializes each query onto `requests` and parses the line that comes
+    back on `replies`.  The hidden bits stay here, on the curator's side
+    of the process boundary, for after-the-fact grading.
     """
 
-    def __init__(self, proc: subprocess.Popen, hidden: MembershipVector, phi: int | None):
+    def __init__(
+        self, requests: TextIO, replies: TextIO, hidden: MembershipVector, phi: int | None
+    ):
         super().__init__(hidden)
-        self._proc = proc
+        self._requests = requests
+        self._replies = replies
         self._phi = phi
 
     def _answer(self, query, n, indices, phi):
-        assert self._proc.stdin is not None and self._proc.stdout is not None
         if phi is not None and phi != self._phi:
             raise OracleProtocolError(
                 f"oracle serves {self._phi} significant digits, not {phi}"
@@ -311,10 +318,13 @@ class _RemoteCurator(CuratorOracle):
             doc = {"entries": [format_rational(Fraction(e)) for e in query]}
         if indices is not None:
             doc["indices"] = list(indices)
-        self._proc.stdin.write("SCORE " + _dump(doc) + "\n")
-        self._proc.stdin.flush()
+        try:
+            self._requests.write("SCORE " + _dump(doc) + "\n")
+            self._requests.flush()
+        except BrokenPipeError:  # the server is gone before it read the request
+            raise OracleProtocolError("oracle closed the stream mid-session") from None
         self._queries += 1
-        line = self._proc.stdout.readline()
+        line = self._replies.readline()
         if not line:
             raise OracleProtocolError("oracle closed the stream mid-session")
         line = line.rstrip("\n")
@@ -336,39 +346,79 @@ class _RemoteCurator(CuratorOracle):
             raise OracleProtocolError(f"{e} in reply {line!r}") from None
 
 
+def _serve_forked(hidden: Labeling, phi: int | None, requests: int, replies: int) -> NoReturn:
+    """A forked server's whole life: serve the two pipe ends, then end the process.
+
+    It leaves through os._exit alone, so it never returns into the caller's
+    stack, flushes buffers it inherited or runs atexit handlers.  The exit
+    closes the pipes, after any traceback is written: the parent reads the
+    end of the replies as the end of the server.
+    """
+    code = 1
+    try:
+        _serve(hidden, phi, os.fdopen(requests), os.fdopen(replies, "w"))
+        code = 0
+    except BaseException:
+        import traceback
+
+        # straight to the descriptor: sys.stderr may hold the parent's buffered text
+        os.write(2, traceback.format_exc().encode(errors="backslashreplace"))
+    finally:
+        os._exit(code)
+
+
 def _subprocess_demo(
     n: int, mode: AttackMode, seed: int, phi: int | None
 ) -> AttackReport:
-    """run_demo's attack, against a curator served by `oracle-serve`."""
+    """run_demo's attack, against a curator served across a process boundary.
+
+    The server is this interpreter forked, lossprobe already imported: the
+    child runs `oracle-serve`'s loop over two pipes, so the protocol and
+    every reply byte are `oracle-serve`'s, and the hidden bits reach it in
+    memory, never through a file.  The child is reaped on every way out:
+    after a finished attack the parent sends QUIT, after a failed one it
+    kills the child first.
+    """
+    if not hasattr(os, "fork"):
+        raise ValidationError(
+            "this platform cannot fork a server; run this attack with --transport inproc"
+        )
     if mode is AttackMode.EXACT_BINARY and n > BINARY_WIRE_MAX_N:
         # refused before the server starts: the entries alone outgrow the pipe
         raise ValidationError(
             f"binary entries past n = {BINARY_WIRE_MAX_N} are walls of digits on the wire; "
             "run this attack with --transport inproc"
         )
-    # imported here, the one path that starts a server, to keep every other start light
-    import subprocess
-    import tempfile
     hidden = MembershipVector.random(n, seed)
-    with tempfile.NamedTemporaryFile("w", suffix=".labels", delete=False) as handle:
-        handle.write(hidden.bits.to_string() + "\n")
-        labels_path = handle.name
-    cmd = [sys.executable, "-m", "lossprobe", "oracle-serve", "--labels", labels_path]
-    cmd += ["--mode", "exact"] if phi is None else ["--mode", "decimal", "--phi", str(phi)]
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
     try:
-        proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        try:
-            return _attack(_RemoteCurator(proc, hidden, phi), n, mode, phi)
-        finally:
-            try:
-                # QUIT, then EOF: the server is reaped once its stdout closes,
-                # where wait(timeout=...) would poll with doubling sleeps
-                proc.communicate("QUIT\n", timeout=10)
-            except (OSError, subprocess.TimeoutExpired):
-                proc.kill()
-                proc.wait()
-    finally:  # the hidden bits leave no file behind, even if the server never starts
-        Path(labels_path).unlink(missing_ok=True)
+        pid = os.fork()
+    except OSError:
+        for fd in (request_r, request_w, reply_r, reply_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(request_w)  # so the child reads EOF once the parent is gone
+        os.close(reply_r)
+        _serve_forked(hidden.bits, phi, request_r, reply_w)
+    os.close(request_r)  # so the parent reads EOF once the child is gone
+    os.close(reply_w)
+    requests, replies = os.fdopen(request_w, "w"), os.fdopen(reply_r)
+    try:
+        report = _attack(_RemoteCurator(requests, replies, hidden, phi), n, mode, phi)
+        requests.write("QUIT\n")  # sent by the close below
+        return report
+    except BaseException:
+        import signal  # only here, to keep every start light
+
+        os.kill(pid, signal.SIGKILL)  # no reply is wanted now, and its request may run long
+        raise
+    finally:
+        with contextlib.suppress(BrokenPipeError):  # a server already gone needs no EOF
+            requests.close()
+        replies.close()
+        os.waitpid(pid, 0)
 
 
 def _cmd_attack_demo(args: argparse.Namespace) -> int:

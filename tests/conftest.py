@@ -18,7 +18,8 @@ import pytest
 from hypothesis import strategies as st
 
 # pytest puts src/ on sys.path (pyproject's pythonpath); the `python -m
-# lossprobe` children that CLI tests and `--transport subprocess` start need it too
+# lossprobe` children that CLI tests start need it too (`--transport
+# subprocess` forks its server, which inherits the path it already has)
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lossprobe import cli
 from lossprobe.cli import BINARY_WIRE_MAX_N, _RemoteCurator, _serve_one, main
 from lossprobe.core import ExactScore, Labeling, exact_score, format_rational, parse_rational
 from lossprobe.errors import OracleProtocolError, ValidationError
@@ -592,7 +594,7 @@ def test_serve_answers_every_line(hidden_16, lines, mode):
 
 
 class ScriptedServer:
-    """Stands in for an `oracle-serve` process: replies are canned, requests kept."""
+    """Stands in for an `oracle-serve` loop: replies are canned, requests kept."""
 
     def __init__(self, replies: str):
         self.stdin = io.StringIO()
@@ -602,7 +604,7 @@ class ScriptedServer:
 def remote_curator(replies, phi=None):
     server = ScriptedServer(replies)
     hidden = MembershipVector(Labeling.from_string("0110"))
-    return _RemoteCurator(server, hidden, phi), server
+    return _RemoteCurator(server.stdin, server.stdout, hidden, phi), server
 
 
 def test_remote_curator_raises_the_oracles_reason():
@@ -615,6 +617,19 @@ def test_remote_curator_raises_on_end_of_stream():
     curator, _ = remote_curator("")
     with pytest.raises(OracleProtocolError, match="oracle closed the stream mid-session"):
         curator.exact_response([Fraction(5, 7)])
+
+
+class ClosedPipe(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_remote_curator_raises_on_a_server_gone_before_the_request():
+    hidden = MembershipVector(Labeling.from_string("0110"))
+    curator = _RemoteCurator(ClosedPipe(), io.StringIO("ESCORE 7/2\n"), hidden, None)
+    with pytest.raises(OracleProtocolError, match="oracle closed the stream mid-session"):
+        curator.exact_response([Fraction(5, 7)])
+    assert curator.queries_used == 0
 
 
 def test_remote_curator_rejects_a_decimal_reply_to_an_exact_query():
@@ -775,7 +790,7 @@ def test_served_binary_attack_refused_past_the_wire_cap(capsys, monkeypatch):
     # entries past the cap are walls of digits (n = 22 took over a minute to
     # ship), so the attack stops before any server process starts
     started = []
-    monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a))
+    monkeypatch.setattr(os, "fork", lambda: started.append("fork"))
     began = time.perf_counter()
     code, out, err = run_cli(
         capsys, "attack-demo", "--n", str(BINARY_WIRE_MAX_N + 1), "--mode", "binary",
@@ -793,25 +808,72 @@ def test_served_binary_attack_refused_past_the_wire_cap(capsys, monkeypatch):
     assert _last_json(out)["accuracy"] == "1/1"
 
 
-def test_served_attack_leaves_no_labels_file_when_the_server_fails_to_start(
+def test_served_attack_writes_no_file_when_the_server_fails_to_start(
     capsys, monkeypatch, tmp_path
 ):
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
-    commands = []
 
-    def refuse(cmd, **kwargs):
-        commands.append(cmd)
+    def refuse():
         raise OSError("no server today")
 
-    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     with pytest.raises(OSError, match="no server today"):
         main(["attack-demo", "--n", "20", "--mode", "twin", "--transport", "subprocess"])
-    [cmd] = commands
-    labels = Path(cmd[cmd.index("--labels") + 1])
-    assert labels.parent == tmp_path and labels.suffix == ".labels"
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out == ""
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_served_attack_reaps_its_server(capsys):
+    code, out, err = run_cli(
+        capsys, "attack-demo", "--n", "30", "--mode", "fixed", "--phi", "3",
+        "--transport", "subprocess",
+    )
+    assert (code, err) == (0, "")
+    assert _last_json(out)["accuracy"] == "1/1"
+    assert_no_child_left()
+
+
+def test_served_attack_reaps_its_server_when_the_attack_fails(capsys, monkeypatch):
+    asked = []
+
+    def fail_after_one_query(curator, n, mode, phi):
+        asked.append(curator.scoring_view().exact_response(build_twin_prime_vector(n).entries))
+        raise RuntimeError("attack broke")
+
+    monkeypatch.setattr(cli, "_attack", fail_after_one_query)
+    with pytest.raises(RuntimeError, match="attack broke"):
+        main(["attack-demo", "--n", "12", "--mode", "twin", "--transport", "subprocess"])
+    assert [score.n for score in asked] == [12]
+    assert capsys.readouterr().out == ""
+    assert_no_child_left()
+
+
+def test_served_attack_reports_a_crashed_server(capfd, monkeypatch):
+    def crash(hidden, doc_text, phi):
+        raise RuntimeError("server broke")
+
+    monkeypatch.setattr(cli, "_serve_one", crash)
+    code = main(["attack-demo", "--n", "12", "--mode", "twin", "--transport", "subprocess"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert "Traceback" in err and "RuntimeError: server broke" in err
+    assert err.splitlines()[-1] == "error: oracle closed the stream mid-session"
+    assert_no_child_left()
+
+
+def test_served_attack_refused_where_the_platform_cannot_fork(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run_cli(
+        capsys, "attack-demo", "--n", "12", "--mode", "twin", "--transport", "subprocess"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--transport inproc" in err
 
 
 def test_attack_demo_phi_needs_fixed_mode(capsys):

@@ -3,8 +3,8 @@
 Every record is an immutable value, as a frozen dataclass is: its fields
 in a fixed order with fixed defaults, built by position or by keyword,
 compared, hashed and shown field by field, and refused any assignment.
-Importing the CLI loads neither the dataclass machinery nor the process
-tools, which only a served attack needs.
+No start of the CLI, a served attack included, loads the dataclass
+machinery or the process tools.
 """
 
 import pickle
@@ -186,6 +186,9 @@ STARTS = {
     "decode": "main(['decode', '--kind', 'twin', '--score', '91/10'])",
     "plan": "main(['plan', '--n', '20', '--phi', '2'])",
     "oracle-serve": "main(['oracle-serve', '--labels', LABELS, '--mode', 'exact'])",
+    "attack-demo": (
+        "main(['attack-demo', '--mode', 'twin', '--n', '5', '--transport', 'subprocess'])"
+    ),
 }
 
 
