@@ -139,6 +139,10 @@ def _twin_labeling(denominator: int, lowers: tuple[int, ...]) -> Labeling:
 # uppers a bare twin numerator must be divisible by before a table sized
 # by its bits is built; a power of two, so small decodes share its table
 _PREFIX = 64
+# a refused numerator is divided by doubling prefixes of the uppers only while
+# a prefix has at most 2^-_PREFIX_SHARE of its bits: their divisions then cost
+# a few percent of the full scan a late fault needs anyway
+_PREFIX_SHARE = 6
 
 
 def decode_twin_prime_value(value: Fraction) -> Labeling:
@@ -149,7 +153,10 @@ def decode_twin_prime_value(value: Fraction) -> Labeling:
     of the numerator, and the numerator must then equal the product of the
     first n upper twins.  The first _PREFIX uppers are tried first: a table
     sized by the bits is built only when they all divide the numerator, so
-    a wide junk numerator is refused off the short table.
+    a wide junk numerator is refused off the short table.  A numerator that
+    is not the product is searched for its fault among the first n + 1
+    uppers, or only as far as the first doubling prefix whose uppers do not
+    all divide it when that prefix is short beside the numerator.
     """
     numerator = value.numerator
     if numerator <= 1:
@@ -167,7 +174,20 @@ def decode_twin_prime_value(value: Fraction) -> Labeling:
     sums = accumulate(math.log2(p + 2) for p in lowers)
     n = next((i for i, s in enumerate(sums) if s > bound), len(lowers))
     if numerator != _upper_product(lowers, n):
-        raise _numerator_fault(numerator, lowers)
+        # the first upper missing or repeated lies among the first n + 1, and
+        # in the first doubling prefix whose uppers do not all divide; prefixes
+        # are tried only while they are short beside the numerator
+        scan = min(n + 1, len(lowers))
+        k = 2 * _PREFIX
+        while k < scan:
+            prefix = _upper_product(lowers, k)
+            if prefix.bit_length() > numerator.bit_length() >> _PREFIX_SHARE:
+                break
+            if numerator % prefix:
+                scan = k
+                break
+            k *= 2
+        raise _numerator_fault(numerator, lowers[:scan])
     return _twin_labeling(value.denominator, lowers[:n])
 
 

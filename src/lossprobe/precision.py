@@ -22,6 +22,7 @@ use it.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
@@ -38,7 +39,12 @@ from .core import (
     logloss_decimal,
 )
 from .errors import LookupBuildError, DecodeError, ValidationError
-from .exact import BINARY_DECIMAL_MAX_N, _binary_batch_fits, decode_binary_from_decimal
+from .exact import (
+    BINARY_DECIMAL_MAX_N,
+    _binary_batch_fits,
+    _mask_labeling,
+    decode_binary_from_decimal,
+)
 
 if TYPE_CHECKING:  # mia imports this module
     from .mia import ScoringView
@@ -159,23 +165,28 @@ def curated_batch_vector(phi: int) -> tuple[Fraction, ...]:
 
 
 class TupleLookup(_Frozen):
-    """Inverse table from (LL wire, AUC wire) pairs back to labelings."""
+    """Inverse table from (LL wire, AUC wire) pairs back to labelings.
+
+    Each value is the labeling's bitmask, bit i labelling point i, and
+    equal wires in the keys are one shared str: at three digits the 4096
+    labelings of the curated vector have 568 distinct LL wires.
+    """
 
     entries: tuple[Fraction, ...]
     phi: int
-    table: Mapping[tuple[str, str], tuple[int, ...]]
+    table: Mapping[tuple[str, str], int]
 
     def __init__(self, entries: tuple[Fraction, ...], phi: int, table: Mapping) -> None:
         self.__dict__.update(entries=entries, phi=phi, table=table)
 
     def labeling_for(self, ll: DecimalScore, auc_score: DecimalScore) -> Labeling:
         ll_wire, auc_wire = ll.wire(), auc_score.wire()
-        bits = self.table.get((ll_wire, auc_wire))
-        if bits is None:
+        mask = self.table.get((ll_wire, auc_wire))
+        if mask is None:
             raise DecodeError(
                 f"tuple ({ll_wire}, {auc_wire}) matches no labeling of this batch"
             )
-        return Labeling(bits)
+        return _mask_labeling(mask, len(self.entries))
 
 
 # enumeration guard: verifying a b-point batch scores all 2^b labelings
@@ -198,17 +209,19 @@ def _guard_batch_size(b: int, phi: int) -> None:
         )
 
 
-def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
-    """Map rounded tuples to labelings, from 3b double logarithms for all 2^b.
+def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict[tuple[str, str], int]:
+    """Map rounded tuples to labeling bitmasks, from 3b double logarithms for all 2^b.
 
     Labeling ``mask`` (bit i labels point i) adds one per-point step to the
     log-loss sum and the doubled midrank sum of the mask without its lowest
-    bit.  AUC is exact, and _rounded_auc writes it through core._bracket_wire.
+    bit; both sums run in arrays of machine numbers.  AUC is exact, and
+    _rounded_auc writes it through core._bracket_wire.
     Each LL is bracketed by the error bound below and rounded by the same
     rule, the one the curator writes every wire by; a bracket
     whose ends round apart is rescored by logloss_decimal, so keys are what
-    an oracle puts on the wire.  Raises LookupBuildError naming the first
-    two labelings, in mask order, that round to the same tuple.
+    an oracle puts on the wire.  Equal wires are kept as one str.  Raises
+    LookupBuildError naming the first two labelings, in mask order, that
+    round to the same tuple.
     """
     vec = PredictionVector(entries)
     b = len(vec)
@@ -225,34 +238,35 @@ def _tuple_table(entries: tuple[Fraction, ...], phi: int) -> dict:
     zero = [lq - l0 for lq, l0, _ in logs]
     deltas = [l0 - l1 for _, l0, l1 in logs]  # one step minus zero step
     margin = sum(map(sum, logs)) * 2.0**-48
-    sums, ranks = [sum(zero)], [0]
+    sums, ranks = array("d", [sum(zero)]), array("l", [0])
     # doubled midrank: 2 * (points below) + (points tied, itself included) + 1
     rank2 = [2 * sum(y < x for y in entries) + entries.count(x) + 1 for x in entries]
+    wires: dict[str, str] = {}
 
     @cache
     def auc_wire(r2: int, pos: int) -> str:  # auc_exact's value, rounded
-        return _rounded_auc(_auc_value(r2, pos, b), phi).wire()
+        wire = _rounded_auc(_auc_value(r2, pos, b), phi).wire()
+        return wires.setdefault(wire, wire)
 
-    table: dict[tuple[str, str], tuple[int, ...]] = {}
+    table: dict[tuple[str, str], int] = {}
     for mask in range(1 << b):
         if mask:
             rest, low = mask & (mask - 1), (mask & -mask).bit_length() - 1
             sums.append(sums[rest] + deltas[low])
             ranks.append(ranks[rest] + rank2[low])
-        bits = tuple((mask >> i) & 1 for i in range(b))
         ll = sums[mask] / b
         wire = _bracket_wire(ll - margin, ll + margin, phi)
         if wire is None:
-            wire = logloss_decimal(vec, Labeling(bits), phi).wire()
-        key = (wire, auc_wire(ranks[mask], mask.bit_count()))
+            wire = logloss_decimal(vec, _mask_labeling(mask, b), phi).wire()
+        key = (wires.setdefault(wire, wire), auc_wire(ranks[mask], mask.bit_count()))
         other = table.get(key)
         if other is not None:
             raise LookupBuildError(
-                f"labelings {''.join(map(str, other))} and "
-                f"{''.join(map(str, bits))} both round to {key} "
+                f"labelings {_mask_labeling(other, b).to_string()} and "
+                f"{_mask_labeling(mask, b).to_string()} both round to {key} "
                 f"at {phi} significant digits"
             )
-        table[key] = bits
+        table[key] = mask
     return table
 
 

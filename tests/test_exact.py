@@ -253,6 +253,55 @@ def test_junk_twin_numerator_refused_off_a_short_prefix():
         assert len(str(caught.value)) < 300
 
 
+@pytest.mark.parametrize(
+    "head,twice,scanned", [(0, False, 64), (64, False, 128), (100, True, 128), (200, False, 256)]
+)
+def test_junk_twin_numerator_fault_scans_one_doubling_prefix(head, twice, scanned, monkeypatch):
+    # the first `head` uppers divide, then 3^125000 stands where the next
+    # should, or the last of them divides twice: the first upper that fails
+    # lies in the first doubling prefix that does not divide, so only that
+    # prefix reaches `remainders`, and it reads as a scan of a longer table
+    uppers = [p + 2 for p in twin_primes(256)[:head]]
+    numerator = math.prod(uppers) * (uppers[-1] if twice else 1) * 3**125000
+    message = str(exact._numerator_fault(numerator, twin_primes(1024)))
+    if twice:
+        assert message == f"numerator contains {uppers[-1]} twice"
+    else:
+        assert message.startswith("numerator has an unexpected factor (stuck at 1434960537490496")
+    moduli = _spy_remainders(monkeypatch)
+    with pytest.raises(DecodeError) as caught:
+        decode_twin_prime_value(F(numerator))
+    assert str(caught.value) == message
+    assert moduli == [scanned]
+
+
+@pytest.mark.parametrize("where,scanned", [(5, 64), (100, 300), (298, 300)])
+def test_late_twin_fault_scans_one_past_the_inferred_n(where, scanned, monkeypatch):
+    # a prefix wider than a 64th of the numerator is not tried, so a fault
+    # late in an honest-width numerator costs one scan of the first n + 1
+    uppers = [p + 2 for p in twin_primes(300)]
+    uppers.pop(where)
+    numerator = math.prod(uppers)
+    moduli = _spy_remainders(monkeypatch)
+    with pytest.raises(DecodeError, match="numerator has an unexpected factor") as caught:
+        decode_twin_prime_value(F(numerator))
+    assert moduli == [scanned]
+    assert str(caught.value).endswith(f"(stuck at {math.prod(uppers[where:])})")
+
+
+def _spy_remainders(monkeypatch) -> list[int]:
+    """Patch exact.remainders to record how many moduli each call gets."""
+    moduli = []
+    real = exact.remainders
+
+    def spy(value, mods):
+        moduli.append(len(mods))
+        return real(value, mods)
+
+    monkeypatch.setattr(exact, "remainders", spy)
+    return moduli
+
+
 # binary construction
 
 

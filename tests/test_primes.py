@@ -125,6 +125,23 @@ def test_cold_twin_table_sieves_once_and_rechecks_every_entry(monkeypatch):
     assert checks == [q for p in lowers for q in (p, p + 2)]
 
 
+@pytest.mark.parametrize("bad", [25, 23], ids=["composite-lower", "composite-upper"])
+def test_twin_table_refuses_a_non_twin_from_the_sieve(bad, monkeypatch):
+    # whatever the re-check runs on, a sieve fault that puts a non-twin
+    # among the pairs (here between 17 and 29) must not reach a table
+    real = primes._twin_lowers
+
+    def faulty(limit):
+        for p in real(limit):
+            if p == 29:
+                yield bad
+            yield p
+
+    monkeypatch.setattr(primes, "_twin_lowers", faulty)
+    with pytest.raises(ValidationError, match="sieve produced a non-twin entry"):
+        twin_primes.__wrapped__(10)
+
+
 def test_twin_table_refuses_a_short_sieve_at_once(monkeypatch):
     # the bound reaches every table entry up to the cap (pinned below), so a
     # shortfall is a fault to report, not a reason to scan again

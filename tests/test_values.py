@@ -53,7 +53,7 @@ RECORDS = {
     ),
     TupleLookup: (
         ("entries", "phi", "table"),
-        ((HALF,), 1, {("7e-1", "ND"): (0,), ("6e-1", "ND"): (1,)}),
+        ((HALF,), 1, {("7e-1", "ND"): 0, ("6e-1", "ND"): 1}),
     ),
     BatchSpec: (("indices", "fill"), ((0, 1), (2,))),
     AttackPlan: (
