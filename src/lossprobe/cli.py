@@ -58,7 +58,7 @@ from .mia import (
     respond,
     run_demo,
 )
-from .precision import min_digits_for_separation, plan_batches
+from .precision import max_unique_batch, min_digits_for_separation, plan_batches, query_bound
 
 DEFAULT_SEED = 7
 # past this, binary entries and scores are walls of digits: each point doubles the exponent
@@ -431,11 +431,11 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
         report = _subprocess_demo(args.n, mode, args.seed, phi)
     else:
         report = run_demo(args.n, mode, args.seed, phi)
-    accuracy = report.accuracy
+    accuracy, plan = report.accuracy, report.plan
     print(f"mode: {report.mode.value}")
     print(f"candidates: {args.n}")
-    if report.phi is not None:
-        print(f"significant digits: {report.phi}")
+    if plan is not None:
+        print(f"significant digits: {plan.phi}")
     print(f"queries used: {report.queries_used}")
     print(f"recovered: {report.recovered.bits.to_string()}")
     print(
@@ -451,11 +451,8 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
         "recovered": report.recovered.bits.to_string(),
         "accuracy": f"{accuracy.numerator}/{accuracy.denominator}",
     }
-    if report.phi is not None:
-        doc["phi"] = report.phi
-    if report.plan is not None:
-        doc["method"] = report.plan.method
-        doc["batch_size"] = report.plan.batch_size
+    if plan is not None:
+        doc.update(phi=plan.phi, method=plan.method, batch_size=plan.batch_size)
     print(_dump(doc))
     return 0
 
@@ -474,8 +471,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         phi = args.phi
     plan = plan_batches(args.n, phi)
     print(f"significant digits: {plan.phi}")
-    print(f"pigeonhole batch cap: {plan.pigeonhole_batch}")
-    print(f"query bound: {plan.bound}")
+    cap, bound = max_unique_batch(phi), query_bound(plan.n, phi)
+    print(f"pigeonhole batch cap: {cap}")
+    print(f"query bound: {bound}")
     print(f"method: {plan.method}")
     print(f"batch size: {plan.batch_size}")
     print(f"planned queries: {plan.planned_queries}")
@@ -487,8 +485,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     doc = {
         "n": plan.n,
         "phi": plan.phi,
-        "max_unique_batch": plan.pigeonhole_batch,
-        "query_bound": plan.bound,
+        "max_unique_batch": cap,
+        "query_bound": bound,
         "method": plan.method,
         "batch_size": plan.batch_size,
         "planned_queries": plan.planned_queries,

@@ -50,28 +50,12 @@ class AttackMode(Enum):
 
 
 class CandidateSet:
-    """The datapoints under attack, in a fixed session order.
+    """The datapoints under attack, in a fixed session order, held as their count.
 
-    A numbered set holds only its size: its names point-0, point-1, ...
-    are unique by construction and are spelled out each time ids is read.
+    Point i is the curator's index i; the attacks read nothing but len().
     """
 
-    __slots__ = ("_ids", "_n")
-
-    def __init__(self, ids: tuple[str, ...]):
-        if len(set(ids)) != len(ids):
-            raise ValidationError("candidate ids must be unique")
-        if not ids:
-            raise ValidationError("candidate set is empty")
-        self._ids: tuple[str, ...] | None = ids
-        self._n = len(ids)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        if self._ids is not None:
-            return self._ids
-        width = len(str(self._n - 1))
-        return tuple(f"point-{i:0{width}d}" for i in range(self._n))
+    __slots__ = ("_n",)
 
     def __len__(self) -> int:
         return self._n
@@ -81,7 +65,7 @@ class CandidateSet:
         if n < 1:
             raise ValidationError("need at least one candidate")
         candidates = cls.__new__(cls)
-        candidates._ids, candidates._n = None, n
+        candidates._n = n
         return candidates
 
 
@@ -109,16 +93,15 @@ class AttackReport(_Frozen):
     queries_used: int
     recovered: MembershipVector
     accuracy: Fraction
-    phi: int | None
-    plan: AttackPlan | None
+    plan: AttackPlan | None  # the executed schedule, phi included; None when exact
 
     def __init__(
         self, mode: AttackMode, queries_used: int, recovered: MembershipVector,
-        accuracy: Fraction, phi: int | None = None, plan: AttackPlan | None = None,
+        accuracy: Fraction, plan: AttackPlan | None = None,
     ) -> None:
         self.__dict__.update(
             mode=mode, queries_used=queries_used, recovered=recovered,
-            accuracy=accuracy, phi=phi, plan=plan,
+            accuracy=accuracy, plan=plan,
         )
 
 
@@ -300,7 +283,6 @@ def fixed_precision_attack(
         queries_used=oracle.queries_used - before,
         recovered=recovered,
         accuracy=oracle.assess(recovered),
-        phi=phi,
         plan=plan,
     )
 

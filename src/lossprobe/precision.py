@@ -116,8 +116,8 @@ def query_bound(n: int, phi: int) -> int:
     The 6*phi in the denominator is an optimistic per-query capacity
     figure (log2 10 rounded down to 3 bits per score, two scores), not a
     guarantee: the curated vectors reach 5, 8 and 12 points at phi 1-3,
-    short of 6, 12 and 18.  plan_batches reports this bound beside the
-    realized schedule, which can need more queries.
+    short of 6, 12 and 18.  The `plan` command prints this bound beside
+    plan_batches' schedule, which can need more queries.
     """
     if n < 1:
         raise ValidationError("need at least one label")
@@ -316,23 +316,22 @@ class BatchSpec(_Frozen):
 
 
 class AttackPlan(_Frozen):
-    """Query schedule for recovering n labels from a phi-digit oracle."""
+    """Query schedule for recovering n labels from a phi-digit oracle.
+
+    Its cap and formula bound are max_unique_batch(phi) and query_bound(n, phi).
+    """
 
     n: int
     phi: int
-    pigeonhole_batch: int
-    bound: int
     method: str  # "tuple-table" or "binary-decimal"
     batch_size: int
     batches: tuple[BatchSpec, ...]
 
     def __init__(
-        self, n: int, phi: int, pigeonhole_batch: int, bound: int, method: str,
-        batch_size: int, batches: tuple[BatchSpec, ...],
+        self, n: int, phi: int, method: str, batch_size: int, batches: tuple[BatchSpec, ...],
     ) -> None:
         self.__dict__.update(
-            n=n, phi=phi, pigeonhole_batch=pigeonhole_batch, bound=bound,
-            method=method, batch_size=batch_size, batches=batches,
+            n=n, phi=phi, method=method, batch_size=batch_size, batches=batches,
         )
 
     @property
@@ -352,9 +351,8 @@ def plan_batches(n: int, phi: int) -> AttackPlan:
 
     Picks the larger of the curated tuple-table batch and the biggest
     binary-construction batch the decoder separates at this precision;
-    neither shrinks as phi grows.  The formula bound assumes a perfect
-    6*phi bits per query and is reported alongside for comparison;
-    realized schedules can need more queries than the bound promises.
+    neither shrinks as phi grows.  The realized schedule can need more
+    queries than query_bound's optimistic formula promises.
     """
     if n < 1:
         raise ValidationError("need at least one label")
@@ -376,8 +374,6 @@ def plan_batches(n: int, phi: int) -> AttackPlan:
     return AttackPlan(
         n=n,
         phi=phi,
-        pigeonhole_batch=max_unique_batch(phi),
-        bound=query_bound(n, phi),
         method=method,
         batch_size=size,
         batches=tuple(batches),

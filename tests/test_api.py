@@ -1,4 +1,8 @@
-"""The public API: changing `lossprobe.__all__` takes an edit here."""
+"""The public API: changing `lossprobe.__all__` takes an edit here.
+
+README's "Python API" block is run as written, each `expression  # value`
+line checked against the value's repr.
+"""
 
 import ast
 from pathlib import Path
@@ -153,3 +157,18 @@ def test_every_construction_entry_point_calls_the_one_size_guard():
                 hand_written.append(f"{stmt.name}:{node.lineno}")
     assert unguarded == []
     assert hand_written == []
+
+
+def test_the_readme_python_api_block_runs_as_written():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Python API\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    lines, namespace, shown = block.splitlines(), {}, []
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if isinstance(stmt, ast.Expr) and comment.startswith("#"):
+            shown.append((source, repr(eval(source, namespace)), comment[1:].strip()))
+        else:
+            exec(source, namespace)
+    assert len(shown) == 6
+    assert [got for _, got, _ in shown] == [want for _, _, want in shown], shown

@@ -23,6 +23,7 @@ from lossprobe.core import ExactScore, Labeling, exact_score, format_rational, p
 from lossprobe.errors import OracleProtocolError, ValidationError
 from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
 from lossprobe.mia import CuratorOracle, MembershipVector
+from lossprobe.precision import max_unique_batch, query_bound
 
 
 def run_cli(capsys, *args, stdin_text=None):
@@ -905,6 +906,14 @@ def test_plan_sixty_points_never_worse_with_more_digits(capsys, phi, queries):
     code, out, _ = run_cli(capsys, "plan", "--n", "60", "--phi", str(phi))
     assert code == 0
     assert _last_json(out)["planned_queries"] == queries
+    # the cap and the formula bound printed beside the schedule, at other n too
+    for n in (1, 60, 241):
+        code, out, _ = run_cli(capsys, "plan", "--n", str(n), "--phi", str(phi))
+        cap, bound = max_unique_batch(phi), query_bound(n, phi)
+        assert code == 0
+        assert f"pigeonhole batch cap: {cap}\nquery bound: {bound}\n" in out
+        doc = _last_json(out)
+        assert (doc["n"], doc["max_unique_batch"], doc["query_bound"]) == (n, cap, bound)
 
 
 def test_attack_demo_four_digits_over_a_process_boundary(capsys):

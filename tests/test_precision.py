@@ -422,8 +422,8 @@ def test_plan_sixty_points_two_digits():
     assert plan.method == "tuple-table"
     assert plan.batch_size == 8
     assert plan.planned_queries == 8
-    assert plan.pigeonhole_batch == 13
-    assert plan.bound == 5
+    assert max_unique_batch(plan.phi) == 13
+    assert query_bound(plan.n, plan.phi) == 5
     covered = [i for batch in plan.batches for i in batch.indices]
     assert covered == list(range(60))
     # the short last batch is refilled back to the verified length
@@ -437,7 +437,7 @@ def test_plan_prefers_binary_when_digits_allow():
     assert plan.method == "binary-decimal"
     assert plan.batch_size == 49
     assert plan.planned_queries == 3
-    assert plan.bound == 2  # the formula bound is optimistic here
+    assert query_bound(plan.n, plan.phi) == 2  # the formula bound is optimistic here
     assert all(batch.fill == () for batch in plan.batches)
 
 

@@ -35,7 +35,7 @@ from lossprobe import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 BATCH = BatchSpec((0, 1), (2,))
-PLAN = AttackPlan(4, 2, 12, 3, "tuple-table", 2, (BATCH, BatchSpec((2, 3))))
+PLAN = AttackPlan(4, 2, "tuple-table", 2, (BATCH, BatchSpec((2, 3))))
 RECOVERED = MembershipVector(Labeling((1, 0)))
 
 # type -> (field names in order, one valid value for each field)
@@ -48,8 +48,8 @@ RECORDS = {
     DecimalScore: (("digits", "phi", "kind"), ("6.9e-1", 2, ScoreKind.LOGLOSS)),
     MembershipVector: (("bits",), (Labeling((1, 0)),)),
     AttackReport: (
-        ("mode", "queries_used", "recovered", "accuracy", "phi", "plan"),
-        (AttackMode.FIXED_PRECISION, 2, RECOVERED, Fraction(1), 2, PLAN),
+        ("mode", "queries_used", "recovered", "accuracy", "plan"),
+        (AttackMode.FIXED_PRECISION, 2, RECOVERED, Fraction(1), PLAN),
     ),
     TupleLookup: (
         ("entries", "phi", "table"),
@@ -57,8 +57,8 @@ RECORDS = {
     ),
     BatchSpec: (("indices", "fill"), ((0, 1), (2,))),
     AttackPlan: (
-        ("n", "phi", "pigeonhole_batch", "bound", "method", "batch_size", "batches"),
-        (4, 2, 12, 3, "tuple-table", 2, (BATCH,)),
+        ("n", "phi", "method", "batch_size", "batches"),
+        (4, 2, "tuple-table", 2, (BATCH,)),
     ),
 }
 TYPES = list(RECORDS)
@@ -131,7 +131,7 @@ def test_records_survive_pickling(cls):
 def test_defaults_are_kept():
     assert BatchSpec((3,)).fill == ()
     report = AttackReport(AttackMode.EXACT_TWIN, 1, RECOVERED, Fraction(1))
-    assert (report.phi, report.plan) == (None, None)
+    assert report.plan is None
 
 
 def test_a_prediction_vector_caches_its_denominator_product_per_instance():
