@@ -44,6 +44,7 @@ from .core import (
 from .errors import LossProbeError, OracleProtocolError, ValidationError
 from .exact import (
     _CONSTRUCTIONS,
+    TWIN_MAX_N,
     build_multiclass_matrix,
     decode_multiclass,
     decode_twin_prime_value,
@@ -59,6 +60,7 @@ from .mia import (
     run_demo,
 )
 from .precision import max_unique_batch, min_digits_for_separation, plan_batches, query_bound
+from .primes import twin_primes
 
 DEFAULT_SEED = 7
 # past this, binary entries and scores are walls of digits: each point doubles the exponent
@@ -375,20 +377,24 @@ def _subprocess_demo(
     The server is this interpreter forked, lossprobe already imported: the
     child runs `oracle-serve`'s loop over two pipes, so the protocol and
     every reply byte are `oracle-serve`'s, and the hidden bits reach it in
-    memory, never through a file.  The child is reaped on every way out:
-    after a finished attack the parent sends QUIT, after a failed one it
-    kills the child first.
+    memory, never through a file.  A twin attack's table is sieved before
+    the fork, so the server's closed form and the attacker's decoder read
+    one table instead of each sieving its own in turn.  The child is
+    reaped on every way out: after a finished attack the parent sends
+    QUIT, after a failed one it kills the child first.
     """
     if not hasattr(os, "fork"):
         raise ValidationError(
             "this platform cannot fork a server; run this attack with --transport inproc"
         )
     if mode is AttackMode.EXACT_BINARY and n > BINARY_WIRE_MAX_N:
-        # refused before the server starts: the entries alone outgrow the pipe
+        # refused before the server starts, which would refuse the score as too wide
         raise ValidationError(
-            f"binary entries past n = {BINARY_WIRE_MAX_N} are walls of digits on the wire; "
-            "run this attack with --transport inproc"
+            f"exact binary scores past n = {BINARY_WIRE_MAX_N} are walls of digits on the "
+            "wire; run this attack with --transport inproc"
         )
+    if mode is AttackMode.EXACT_TWIN and n <= TWIN_MAX_N:
+        twin_primes(n)
     hidden = MembershipVector.random(n, seed)
     request_r, request_w = os.pipe()
     reply_r, reply_w = os.pipe()

@@ -98,6 +98,23 @@ def _upper_product(lowers: Sequence[int], n: int) -> int:
     )
 
 
+def _twin_exact(labels: Labeling) -> ExactScore:
+    """The twin construction's exact score against labels, in closed form.
+
+    prod (p_i + 2) / (2^zeros prod_{l_i = 1} p_i): 2, the uppers and the
+    lowers from 5 on are pairwise distinct primes (p, p + 2 and p + 4 are
+    all prime only for p = 3), so the parts are coprime and no gcd runs.
+    """
+    n = len(labels)
+    _check_size(n, TWIN_MAX_N, "twin-prime construction capped at n")
+    lowers = twin_primes(n)
+    selected = tree_product(list(compress(lowers, labels.bits)))
+    zeros = labels.bits.count(0)
+    return ExactScore(
+        value=coprime_fraction(_upper_product(lowers, n), selected << zeros), n=n
+    )
+
+
 def _numerator_fault(numerator: int, lowers: Sequence[int]) -> DecodeError:
     """Why numerator is no prefix product of the uppers: the first upper missing or repeated.
 
@@ -250,6 +267,18 @@ def _mask_labeling(mask: int, n: int) -> Labeling:
     return Labeling(tuple(format(mask, f"0{n}b").encode()[::-1].translate(_DIGITS_TO_BITS)))
 
 
+def _binary_exact(labels: Labeling) -> ExactScore:
+    """The binary construction's exact score against labels, in closed form.
+
+    The entries' denominators telescope to 2^(2^n) - 1 and the selected
+    numerators multiply to 2^N, N the labeling's bitmask: an odd numerator
+    over a power of two, coprime, with no vector and no gcd.
+    """
+    n = len(labels)
+    _check_size(n, BINARY_MAX_N, "binary construction capped at n")
+    return ExactScore(value=coprime_fraction((1 << (1 << n)) - 1, 1 << _bitmask(labels)), n=n)
+
+
 def _binary_log(n: int, exponent: int, digits: int) -> Decimal:
     """ln((2^(2^n) - 1) / 2^exponent), n LL of the binary construction, to digits.
 
@@ -352,18 +381,22 @@ def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, D
 
 
 class _Construction(NamedTuple):
-    """A served construction: its builder, its exact decoder and, where a
-    closed form exists, its rounded (LL, AUC) answer."""
+    """A served construction: its builder, its exact decoder, its exact
+    answer in closed form and, where a closed form exists, its rounded
+    (LL, AUC) answer."""
 
     build: Callable[[int], PredictionVector]
     decode: Callable[[ExactScore], Labeling]
+    exact: Callable[[Labeling], ExactScore]
     rounded: Callable[[Labeling, int], tuple[DecimalScore, DecimalScore]] | None
 
 
 # the one name -> construction table behind named queries, attacks and the CLI
 _CONSTRUCTIONS = {
-    "twin": _Construction(build_twin_prime_vector, decode_twin_prime, None),
-    "binary": _Construction(build_binary_vector, decode_binary, binary_decimal_response),
+    "twin": _Construction(build_twin_prime_vector, decode_twin_prime, _twin_exact, None),
+    "binary": _Construction(
+        build_binary_vector, decode_binary, _binary_exact, binary_decimal_response
+    ),
 }
 
 

@@ -4,8 +4,9 @@ The simulated world has two sides.  The curator holds the hidden
 membership bits and answers scoring queries about them, exactly or
 rounded to phi significant digits.  The adversary sees nothing but those
 answers: no model, no per-point predictions, no ground truth.  The
-attacks below submit one crafted prediction vector per batch and decode
-the hidden bits from the returned scores.
+attacks below submit one crafted prediction vector per batch, or name the
+construction they would send, and decode the hidden bits from the
+returned scores.
 
 Separation is a convention.  Attacks are written against a ScoringView,
 a facade holding only the curator's answer methods, and touch nothing
@@ -155,15 +156,19 @@ def respond(
     """The curator's answer to one query: the exact score when phi is None,
     else (LL, AUC) rounded to phi significant digits.
 
-    query is a built prediction vector or the name of a construction,
-    which is built at len(labels) points unless it has a closed-form
-    rounded answer.
+    query is a built prediction vector or the name of a construction at
+    len(labels) points.  A name is answered from the construction's closed
+    form, exact or rounded, with no vector built; a name with no rounded
+    closed form is built and scored as entries.  A vector is scored by the
+    general exact_score, gcd and all.
     """
     if not isinstance(query, PredictionVector):
         construction = _CONSTRUCTIONS.get(query) if isinstance(query, str) else None
         if construction is None:
             raise ValidationError(f"cannot build entries for kind {query!r}")
-        if phi is not None and construction.rounded is not None:
+        if phi is None:
+            return construction.exact(labels)
+        if construction.rounded is not None:
             return construction.rounded(labels, phi)
         query = construction.build(len(labels))
     if phi is None:
@@ -175,8 +180,9 @@ class CuratorOracle:
     """Holds the hidden membership bits and reports scores truthfully.
 
     Queries may target the whole candidate set or, via indices, any
-    subset; the predictions then line up with the chosen positions.  The
-    three answer methods are adapters onto _answer.
+    subset; the predictions then line up with the chosen positions.  A
+    query is entries or the name of a construction.  The three answer
+    methods are adapters onto _answer.
     """
 
     def __init__(self, hidden: MembershipVector):
@@ -206,9 +212,20 @@ class CuratorOracle:
         return respond(query, labels, phi)
 
     def exact_response(
-        self, entries: Sequence[Fraction], indices: Sequence[int] | None = None
+        self, entries: Sequence[Fraction] | str, indices: Sequence[int] | None = None
     ) -> ExactScore:
-        return self._answer(entries, len(entries), indices, None)
+        """The exact score of entries, or of a construction named in their place.
+
+        A name ("twin", "binary") stands for that construction over the
+        points at indices, or over every candidate when none are given, and
+        is answered in closed form.
+        """
+        if isinstance(entries, str):
+            # indices that are no list are refused in _answer, before any count
+            n = len(indices) if isinstance(indices, (list, tuple)) else len(self.__hidden)
+        else:
+            n = len(entries)
+        return self._answer(entries, n, indices, None)
 
     def decimal_scores(
         self,
@@ -243,11 +260,18 @@ def curator_oracle(hidden: MembershipVector) -> CuratorOracle:
 
 
 def _recover_exact(view: ScoringView, n: int, mode: AttackMode) -> Labeling:
-    """Adversary side of the exact modes: one query, then decode."""
+    """Adversary side of the exact modes: one query by construction name, then decode.
+
+    The curator scores the named construction over all its candidates, so
+    a score for other than n of them is refused before any decode.
+    """
     construction = _CONSTRUCTIONS.get(mode.value)
     if construction is None:
         raise ValidationError(f"{mode} is not an exact mode")
-    return construction.decode(view.exact_response(construction.build(n).entries))
+    score = view.exact_response(mode.value)
+    if score.n != n:
+        raise ValidationError(f"the curator scored {score.n} candidates, not {n}")
+    return construction.decode(score)
 
 
 def one_query_attack(

@@ -22,7 +22,7 @@ from lossprobe.cli import BINARY_WIRE_MAX_N, _RemoteCurator, _serve_one, main
 from lossprobe.core import ExactScore, Labeling, exact_score, format_rational, parse_rational
 from lossprobe.errors import OracleProtocolError, ValidationError
 from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
-from lossprobe.mia import CuratorOracle, MembershipVector
+from lossprobe.mia import CandidateSet, CuratorOracle, MembershipVector, one_query_attack
 from lossprobe.precision import max_unique_batch, query_bound
 
 
@@ -721,6 +721,30 @@ def test_local_and_served_answers_agree(phi):
             assert local == _serve_one(hidden, json.dumps(doc), phi), doc
 
 
+@pytest.mark.parametrize("kind,k", [("twin", 1), ("twin", 2), ("twin", 700), ("binary", 1),
+                                    ("binary", BINARY_WIRE_MAX_N)])
+def test_a_named_exact_line_is_the_built_entries_line(capsys, kind, k):
+    # the name is answered in closed form, the entries `build` writes by general scoring
+    _, entries_doc, _ = run_cli(capsys, "build", kind, "--n", str(k))
+    hidden = Labeling(tuple(random.Random(k).randint(0, 1) for _ in range(k)))
+    named_doc = json.dumps({"kind": kind, "n": k})
+    out = io.StringIO()
+    cli._serve(hidden, None, [f"SCORE {entries_doc}", f"SCORE {named_doc}\n"], out)
+    entries_line, named_line = out.getvalue().splitlines()
+    assert entries_line.startswith("ESCORE ")
+    assert named_line == entries_line
+
+
+def test_a_served_exact_attack_sends_one_named_line():
+    hidden = Labeling.from_string(HIDDEN_16)
+    reply = _serve_one(hidden, '{"kind":"twin","n":16}', None) + "\n"
+    server = ScriptedServer(reply)
+    curator = _RemoteCurator(server.stdin, server.stdout, MembershipVector(hidden), None)
+    report = one_query_attack(CandidateSet.numbered(16), curator)
+    assert server.stdin.getvalue() == 'SCORE {"kind":"twin","n":16}\n'
+    assert (report.queries_used, report.accuracy) == (1, 1)
+
+
 @pytest.mark.parametrize("indices", [[True], [1.0], [0, False], (1.0,), "0", {"0": 1}])
 def test_both_curators_refuse_indices_that_are_not_ints(indices):
     # True would score point 1 and 1.0 fail later with a bare TypeError
@@ -788,8 +812,8 @@ def test_attack_demo_transports_agree(capsys):
 
 
 def test_served_binary_attack_refused_past_the_wire_cap(capsys, monkeypatch):
-    # entries past the cap are walls of digits (n = 22 took over a minute to
-    # ship), so the attack stops before any server process starts
+    # exact scores past the cap are walls of digits (n = 22 took over a
+    # minute to ship), so the attack stops before any server process starts
     started = []
     monkeypatch.setattr(os, "fork", lambda: started.append("fork"))
     began = time.perf_counter()
@@ -823,6 +847,23 @@ def test_served_attack_writes_no_file_when_the_server_fails_to_start(
         main(["attack-demo", "--n", "20", "--mode", "twin", "--transport", "subprocess"])
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode,tables", [("twin", [("table", 20)]), ("binary", []), ("fixed", [])])
+def test_a_served_twin_attack_sieves_its_table_before_the_fork(monkeypatch, mode, tables):
+    # the forked server's closed form and the attacker's decoder then share it
+    events = []
+    monkeypatch.setattr(cli, "twin_primes", lambda n: events.append(("table", n)))
+
+    def fork():
+        events.append(("fork",))
+        raise OSError("no server today")
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="no server today"):
+        main(["attack-demo", "--n", "12" if mode == "binary" else "20", "--mode", mode,
+              "--transport", "subprocess"])
+    assert events == [*tables, ("fork",)]
 
 
 def assert_no_child_left():

@@ -25,6 +25,7 @@ from lossprobe.core import (
     coprime_fraction,
     exact_score,
     exact_score_multiclass,
+    format_rational,
     logloss_decimal,
     parse_decimal_score,
 )
@@ -44,6 +45,7 @@ from lossprobe.exact import (
     decode_twin_prime,
     decode_twin_prime_value,
 )
+from lossprobe.mia import respond
 from lossprobe.precision import LOOKUP_MAX_BATCH, _largest_binary_batch, build_tuple_lookup
 from lossprobe.primes import twin_primes
 
@@ -520,6 +522,52 @@ _LABELINGS = {
     "alternating": lambda n: tuple(i % 2 for i in range(n)),
     "seeded": lambda n: tuple(random.Random(n).randint(0, 1) for _ in range(n)),
 }
+
+
+# named exact answers: each construction's closed form against general scoring
+
+
+def _assert_named_exact_is_general(name, labels, text=True):
+    named = respond(name, labels, None)
+    general = exact_score(exact._CONSTRUCTIONS[name].build(len(labels)), labels)
+    assert named == general
+    assert type(named.value.numerator) is type(named.value.denominator) is int
+    if text:
+        assert format_rational(named.value) == format_rational(general.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.data())
+def test_named_twin_exact_is_the_general_score(n, data):
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    _assert_named_exact_is_general("twin", Labeling(tuple((mask >> i) & 1 for i in range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, BINARY_WIRE_MAX_N), st.data())
+def test_named_binary_exact_is_the_general_score(n, data):
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    _assert_named_exact_is_general("binary", Labeling(tuple((mask >> i) & 1 for i in range(n))))
+
+
+@pytest.mark.parametrize("pattern", ["zeros", "ones"])
+@pytest.mark.parametrize("n", [1, 2, 3000])
+def test_named_twin_exact_of_one_class_is_the_general_score(n, pattern):
+    _assert_named_exact_is_general("twin", Labeling(_LABELINGS[pattern](n)))
+
+
+@pytest.mark.parametrize("pattern", ["zeros", "ones", "seeded"])
+def test_named_binary_exact_past_the_wire_cap_is_the_general_score(pattern):
+    # a numerator of 2^24 bits prints as 5 million digits in about 4 s, so
+    # the parts are compared as ints, whose printed bytes then agree
+    _assert_named_exact_is_general("binary", Labeling(_LABELINGS[pattern](24)), text=False)
+
+
+def test_named_exact_refuses_sizes_outside_its_construction():
+    with pytest.raises(ValidationError, match="binary construction capped at n = 32"):
+        respond("binary", Labeling((0,) * (BINARY_MAX_N + 1)), None)
+    with pytest.raises(ValidationError, match="twin-prime construction capped"):
+        respond("twin", Labeling((0,) * (TWIN_MAX_N + 1)), None)
 
 
 @pytest.mark.parametrize("pattern", sorted(_LABELINGS))

@@ -7,7 +7,14 @@ import pytest
 
 from lossprobe.core import Labeling, PredictionVector, ScoreKind, logloss_decimal
 from lossprobe.errors import DecodeError, LossProbeError, ValidationError
-from lossprobe.exact import BINARY_MAX_N, build_twin_prime_vector, decode_twin_prime_value
+from lossprobe import exact
+from lossprobe.exact import (
+    BINARY_MAX_N,
+    build_binary_vector,
+    build_twin_prime_vector,
+    decode_binary,
+    decode_twin_prime_value,
+)
 from lossprobe.mia import (
     AttackMode,
     CandidateSet,
@@ -216,6 +223,68 @@ def test_one_query_attack_recovers_everything(mode):
         assert report.plan is None
 
 
+class RecordingCurator:
+    """A truthful curator whose view writes down every exact query it is sent."""
+
+    def __init__(self, hidden: MembershipVector):
+        self.honest, self.asked = curator_oracle(hidden), []
+
+    @property
+    def queries_used(self):
+        return self.honest.queries_used
+
+    def scoring_view(self):
+        real = self.honest.scoring_view()
+
+        def exact_response(entries, indices=None):
+            self.asked.append((entries, indices))
+            return real.exact_response(entries, indices)
+
+        return ScoringView(exact_response, real.decimal_scores, real.decimal_scores_for_binary)
+
+    def assess(self, claimed):
+        return self.honest.assess(claimed)
+
+
+@pytest.mark.parametrize("mode", [AttackMode.EXACT_TWIN, AttackMode.EXACT_BINARY])
+def test_one_query_attack_asks_by_construction_name(mode, monkeypatch):
+    def no_vector(n):
+        raise AssertionError(f"a vector of {n} points was built")
+
+    # the table holds its builders, so both it and the module names are replaced
+    for name, construction in exact._CONSTRUCTIONS.items():
+        monkeypatch.setitem(exact._CONSTRUCTIONS, name, construction._replace(build=no_vector))
+    monkeypatch.setattr(exact, "build_twin_prime_vector", no_vector)
+    monkeypatch.setattr(exact, "build_binary_vector", no_vector)
+    hidden = MembershipVector.random(20, seed=4)
+    curator = RecordingCurator(hidden)
+    report = one_query_attack(CandidateSet.numbered(20), curator, mode)
+    assert curator.asked == [(mode.value, None)]
+    assert (report.queries_used, report.recovered) == (1, hidden)
+
+
+@pytest.mark.parametrize("mode", [AttackMode.EXACT_TWIN, AttackMode.EXACT_BINARY])
+@pytest.mark.parametrize("candidates,held", [(5, 6), (6, 5)])
+def test_one_query_attack_refuses_a_curator_of_another_size(mode, candidates, held):
+    oracle = curator_oracle(MembershipVector.random(held, 0))
+    with pytest.raises(ValidationError):
+        one_query_attack(CandidateSet.numbered(candidates), oracle, mode)
+
+
+def test_a_named_exact_query_is_scored_over_its_indices():
+    oracle = curator_oracle(MembershipVector(Labeling((1, 0, 1, 0))))
+    score = oracle.exact_response("twin", indices=[2, 1, 0])
+    assert score == oracle.exact_response(build_twin_prime_vector(3).entries, indices=[2, 1, 0])
+    assert score.value == F(1729, 170)
+    with pytest.raises(ValidationError):
+        oracle.exact_response("twin", indices=[0, 0])
+    with pytest.raises(ValidationError, match="^indices must be a list of integers$"):
+        oracle.exact_response("twin", indices=2)
+    assert oracle.queries_used == 2
+    with pytest.raises(ValidationError, match="cannot build entries for kind 'multiclass'"):
+        oracle.exact_response("multiclass")
+
+
 def test_one_query_attack_rejects_fixed_mode():
     oracle = curator_oracle(MembershipVector.random(4, 0))
     with pytest.raises(ValidationError):
@@ -223,14 +292,19 @@ def test_one_query_attack_rejects_fixed_mode():
 
 
 def test_binary_attack_through_the_curator_at_the_size_limit():
-    # the curator scores the attacker's entries as a plain vector: this is
-    # the path that must stay in shifts, 2^32-bit numerator and all
+    # the attack asks by name and gets the closed form; sent as entries, the
+    # curator scores a plain vector: the path that must stay in shifts,
+    # 2^32-bit numerator and all
     n = BINARY_MAX_N
     hidden = MembershipVector.random(n, 32)
     oracle = curator_oracle(hidden)
     report = one_query_attack(CandidateSet.numbered(n), oracle, AttackMode.EXACT_BINARY)
     assert report.queries_used == oracle.queries_used == 1
     assert report.recovered == hidden
+    del report
+    score = oracle.exact_response(build_binary_vector(n).entries)
+    assert oracle.queries_used == 2
+    assert decode_binary(score) == hidden.bits
 
 
 def test_binary_mode_stops_at_the_size_limit():

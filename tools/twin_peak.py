@@ -6,15 +6,17 @@ Run it as a script: the interpreter it starts is the fresh process, so no
 twin table or score is cached beforehand.  lossprobe is imported from the
 `src/` next to this file.  The round trip is the one `lossprobe attack-demo
 --mode twin` runs in-process, taken apart into public calls so each part
-is timed: the twin table (`twin_primes`), the attacker's vector
-(`build_twin_prime_vector`), the curator's exact score of it against
-seeded hidden labels, the attacker's decode, and the curator's assessment.
-Each object is dropped when the attack would drop it.  It prints one JSON
-line: n, seed, the wall time of the whole round trip, the wall time of
-each part, whether every label came back, and `VmHWM` (the process's peak
-resident set, import included) from `/proc/self/status`, both at the end
-and after each part.  The table is the first part after set-up, so
-`VmHWM` after it is the table's own peak.  Standard library only; `VmHWM` needs Linux.
+is timed: the twin table (`twin_primes`), the curator's exact answer to
+the construction named "twin" against seeded hidden labels, the
+attacker's decode, and the curator's assessment.  The attack asks by
+name, so no vector is built: the curator answers from the construction's
+closed form.  Each object is dropped when the attack would drop it.  It
+prints one JSON line: n, seed, the wall time of the whole round trip,
+the wall time of each part, whether every label came back, and `VmHWM`
+(the process's peak resident set, import included) from
+`/proc/self/status`, both at the end and after each part.  The table is
+the first part after set-up, so `VmHWM` after it is the table's own
+peak.  Standard library only; `VmHWM` needs Linux.
 """
 
 from __future__ import annotations
@@ -43,13 +45,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the hidden labels")
     args = parser.parse_args()
 
-    from lossprobe import (
-        CandidateSet,
-        MembershipVector,
-        build_twin_prime_vector,
-        curator_oracle,
-        decode_twin_prime,
-    )
+    from lossprobe import CandidateSet, MembershipVector, curator_oracle, decode_twin_prime
     from lossprobe.primes import twin_primes
 
     parts = {}
@@ -70,10 +66,7 @@ def main() -> int:
     lap("setup")
     twin_primes(n)
     lap("table")
-    entries = build_twin_prime_vector(n).entries
-    lap("build")
-    score = oracle.exact_response(entries)
-    del entries
+    score = oracle.exact_response("twin")
     lap("score")
     recovered = MembershipVector(decode_twin_prime(score))
     del score
