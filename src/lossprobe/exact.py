@@ -134,14 +134,19 @@ def _numerator_fault(numerator: int, lowers: Sequence[int]) -> DecodeError:
     return DecodeError(f"numerator has an unexpected factor (stuck at {_wide_str(rest)})")
 
 
-def _twin_labeling(denominator: int, lowers: tuple[int, ...]) -> Labeling:
+def _twin_labeling(value: Fraction, lowers: tuple[int, ...]) -> Labeling:
     """Read the labels off a denominator that must be 2^m * prod(lowers labeled 1).
 
-    Each lower's exponent in the odd part, capped at 1, is its bit; nothing
-    else may be left, no lower may pass the cap, and m must be the number
-    of zero bits.
+    value's numerator is already the product of the uppers, so a denominator
+    wider than it by more than one bit per point, past 2^n prod (p_i + 2),
+    is refused unread.  Each lower's exponent in the odd part, capped at 1,
+    is its bit; nothing else may be left, no lower may pass the cap, and m
+    must be the number of zero bits.
     """
-    m, odd = _split_pow2(denominator)
+    width = value.denominator.bit_length()
+    if width > value.numerator.bit_length() + len(lowers):
+        raise DecodeError(f"denominator of {width} bits is wider than {len(lowers)} points allow")
+    m, odd = _split_pow2(value.denominator)
     bits, rest, twice = exponents_over(odd, lowers, 1)
     if rest != 1:
         raise DecodeError(f"denominator has a foreign factor {_wide_str(rest)}")
@@ -153,27 +158,26 @@ def _twin_labeling(denominator: int, lowers: tuple[int, ...]) -> Labeling:
     return Labeling(tuple(bits))
 
 
-# uppers a bare twin numerator must be divisible by before a table sized
-# by its bits is built; a power of two, so small decodes share its table
+# uppers a bare twin numerator must be divisible by before a longer table is
+# built; a power of two, so small decodes share its table
 _PREFIX = 64
-# a refused numerator is divided by doubling prefixes of the uppers only while
-# a prefix has at most 2^-_PREFIX_SHARE of its bits: their divisions then cost
-# a few percent of the full scan a late fault needs anyway
+# the table doubles only while the doubled prefix has at most 2^-_PREFIX_SHARE
+# of the numerator's bits: the divisions then cost a few percent of the full
+# scan a late fault needs anyway
 _PREFIX_SHARE = 6
 
 
 def decode_twin_prime_value(value: Fraction) -> Labeling:
     """Recover the labeling from a bare twin-prime score value; n is inferred.
 
-    The table is sized once, from the numerator's bit length rounded up to
-    a power of two; n is where the prefix sums of log2(p_i + 2) meet log2
-    of the numerator, and the numerator must then equal the product of the
-    first n upper twins.  The first _PREFIX uppers are tried first: a table
-    sized by the bits is built only when they all divide the numerator, so
-    a wide junk numerator is refused off the short table.  A numerator that
-    is not the product is searched for its fault among the first n + 1
-    uppers, or only as far as the first doubling prefix whose uppers do not
-    all divide it when that prefix is short beside the numerator.
+    The table starts at _PREFIX uppers and doubles while they all divide the
+    numerator and the doubled prefix, by _min_upper_bits, stays short beside
+    it; then it jumps to a size from the numerator's bit length rounded up
+    to a power of two.  So a junk numerator is refused off the first prefix
+    that does not divide.  n is where the prefix sums of log2(p_i + 2) over
+    that table meet log2 of the numerator, and the numerator must equal the
+    product of the first n upper twins; if not, its first missing or
+    repeated upper lies among the first n + 1.
     """
     numerator = value.numerator
     if numerator <= 1:
@@ -183,29 +187,21 @@ def decode_twin_prime_value(value: Fraction) -> Labeling:
     )
     # a power-of-two size lets values of nearby sizes share a cached table
     size = min(1 << max(size - 1, 0).bit_length(), TWIN_MAX_N)
-    lowers = twin_primes(min(size, _PREFIX))
-    if size > _PREFIX and numerator % _upper_product(lowers, _PREFIX) == 0:
-        lowers = twin_primes(size)
+    k, done = min(size, _PREFIX), 0
+    lowers = twin_primes(k)
+    # uppers are distinct primes, so a prefix divides once those past the last prefix do
+    while k < size and numerator % _upper_product(lowers[done:], k - done) == 0:
+        done, k = k, min(2 * k, size)
+        if _min_upper_bits(k) > numerator.bit_length() >> _PREFIX_SHARE:
+            k = size
+        lowers = twin_primes(k)
     # consecutive sums differ by log2 7 or more, so half a bit absorbs float error
     bound = math.log2(numerator) + 0.5
     sums = accumulate(math.log2(p + 2) for p in lowers)
     n = next((i for i, s in enumerate(sums) if s > bound), len(lowers))
     if numerator != _upper_product(lowers, n):
-        # the first upper missing or repeated lies among the first n + 1, and
-        # in the first doubling prefix whose uppers do not all divide; prefixes
-        # are tried only while they are short beside the numerator
-        scan = min(n + 1, len(lowers))
-        k = 2 * _PREFIX
-        while k < scan:
-            prefix = _upper_product(lowers, k)
-            if prefix.bit_length() > numerator.bit_length() >> _PREFIX_SHARE:
-                break
-            if numerator % prefix:
-                scan = k
-                break
-            k *= 2
-        raise _numerator_fault(numerator, lowers[:scan])
-    return _twin_labeling(value.denominator, lowers[:n])
+        raise _numerator_fault(numerator, lowers[: n + 1])
+    return _twin_labeling(value, lowers[:n])
 
 
 def decode_twin_prime(score: ExactScore) -> Labeling:
@@ -216,7 +212,7 @@ def decode_twin_prime(score: ExactScore) -> Labeling:
     if n <= TWIN_MAX_N and _min_upper_bits(n) < numerator.bit_length():
         lowers = twin_primes(n)
         if numerator == _upper_product(lowers, n):
-            return _twin_labeling(score.value.denominator, lowers)
+            return _twin_labeling(score.value, lowers)
     # not n uppers: decoding with n inferred names the fault or the n encoded
     labeling = decode_twin_prime_value(score.value)
     raise DecodeError(

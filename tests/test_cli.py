@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -24,6 +25,7 @@ from lossprobe.errors import OracleProtocolError, ValidationError
 from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
 from lossprobe.mia import CandidateSet, CuratorOracle, MembershipVector, one_query_attack
 from lossprobe.precision import max_unique_batch, query_bound
+from lossprobe.primes import twin_primes
 
 
 def run_cli(capsys, *args, stdin_text=None):
@@ -283,6 +285,20 @@ def test_decode_tampered_score_fails(capsys):
     code, _, stderr = run_cli(capsys, "decode", "--kind", "twin", "--score", "1729/85")
     assert code == 1
     assert stderr.startswith("error:")
+
+
+def test_decode_refuses_a_junk_twin_numerator_off_its_prefix(tmp_path, capsys):
+    # the first 64 upper twins divide 3^1000000 times their product, and the
+    # first 128 do not: the refusal costs that prefix, not the 1.58M bits
+    uppers = math.prod(p + 2 for p in twin_primes(64))
+    path = tmp_path / "score.txt"
+    path.write_text(format_rational(Fraction(uppers * 3**1000000)) + "\n")
+    began = time.perf_counter()
+    code, out, stderr = run_cli(capsys, "decode", "--kind", "twin", "--score", str(path))
+    assert time.perf_counter() - began < 2
+    assert (code, out) == (1, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert len(stderr) < 300
 
 
 @pytest.mark.parametrize("n", ['"3"', "2.5", "[1]", "true", "0"])

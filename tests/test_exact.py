@@ -271,10 +271,15 @@ def test_junk_twin_numerator_fault_scans_one_doubling_prefix(head, twice, scanne
     else:
         assert message.startswith("numerator has an unexpected factor (stuck at 1434960537490496")
     moduli = _spy_remainders(monkeypatch)
+    asked = []
+    real_twin_primes = exact.twin_primes
+    monkeypatch.setattr(exact, "twin_primes", lambda n: asked.append(n) or real_twin_primes(n))
     with pytest.raises(DecodeError) as caught:
         decode_twin_prime_value(F(numerator))
     assert str(caught.value) == message
     assert moduli == [scanned]
+    # a refusal costs the prefix, not the bits: no longer table is built
+    assert max(asked) == scanned
 
 
 @pytest.mark.parametrize("where,scanned", [(5, 64), (100, 300), (298, 300)])
@@ -289,6 +294,69 @@ def test_late_twin_fault_scans_one_past_the_inferred_n(where, scanned, monkeypat
         decode_twin_prime_value(F(numerator))
     assert moduli == [scanned]
     assert str(caught.value).endswith(f"(stuck at {math.prod(uppers[where:])})")
+
+
+def test_twin_denominator_wider_than_any_labeling_refused_unread():
+    # an honest n = 3000 numerator over a coprime 8M-bit denominator, whose
+    # remainder tree over the lowers would take over a second per decoder
+    n = 3000
+    numerator = math.prod(p + 2 for p in twin_primes(n))
+    value = F(numerator, 2 * ((numerator << 8_000_000) + 1))
+    width = value.denominator.bit_length()
+    message = f"denominator of {width} bits is wider than {n} points allow"
+    for decode in (decode_twin_prime_value, lambda v: decode_twin_prime(ExactScore(v, n))):
+        began = time.perf_counter()
+        with pytest.raises(DecodeError) as caught:
+            decode(value)
+        assert time.perf_counter() - began < 1
+        assert str(caught.value) == message
+    # one bit per point past the numerator is still read, and refused on its merits
+    widest = F(numerator, 1 << (numerator.bit_length() + n - 1))
+    with pytest.raises(DecodeError, match="power of two .* disagrees"):
+        decode_twin_prime_value(widest)
+
+
+_TAMPERS = ("none", "upper past n", "over upper past n", "over lower labeled 1",
+            "prime beyond table", "two", "over two", "upper present")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.sampled_from(_TAMPERS), st.data())
+def test_twin_decoders_return_only_a_labeling_that_scores_the_input(n, tamper, data):
+    # closure: whatever one tamper does, a decoder either refuses or returns
+    # a labeling whose score is exactly the value it was given
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    lowers = twin_primes(316)
+    value = naive_exact_score(build_twin_prime_vector(n).entries, bits)
+    past = lowers[data.draw(st.integers(n, n + 15))] + 2
+    if tamper == "upper past n":
+        value *= past
+    elif tamper == "over upper past n":
+        value /= past
+    elif tamper == "over lower labeled 1" and 1 in bits:
+        value /= lowers[data.draw(st.sampled_from([i for i, b in enumerate(bits) if b]))]
+    elif tamper == "prime beyond table":
+        value *= 1_000_003
+    elif tamper == "two":
+        value *= 2
+    elif tamper == "over two":
+        value /= 2
+    elif tamper == "upper present":
+        value *= lowers[data.draw(st.integers(0, n - 1))] + 2
+    try:
+        labeling = decode_twin_prime_value(value)
+    except DecodeError:
+        pass
+    else:
+        entries = build_twin_prime_vector(len(labeling)).entries
+        assert naive_exact_score(entries, labeling.bits) == value
+    try:
+        labeling = decode_twin_prime(ExactScore(value, n))
+    except DecodeError:
+        pass
+    else:
+        assert len(labeling) == n
+        assert naive_exact_score(build_twin_prime_vector(n).entries, labeling.bits) == value
 
 
 def _spy_remainders(monkeypatch) -> list[int]:
