@@ -71,8 +71,9 @@ def _check_size(n: int, cap: int, what: str) -> None:
 def build_twin_prime_vector(n: int) -> PredictionVector:
     """Entries p_i/(p_i + 2) over the first n lower twins (5/7, 11/13, ...).
 
-    p and p + 2 are odd and 2 apart, so coprime: each numerator is the
-    table's own int, and no gcd runs.
+    p and p + 2 are odd and 2 apart, so coprime: each entry is built as
+    it stands, and no gcd runs.  The table holds 4-byte ints, so each
+    numerator is a new int read off it.
     """
     _check_size(n, TWIN_MAX_N, "twin-prime construction capped at n")
     return PredictionVector(tuple(coprime_fraction(p, p + 2) for p in twin_primes(n)))
@@ -134,7 +135,7 @@ def _numerator_fault(numerator: int, lowers: Sequence[int]) -> DecodeError:
     return DecodeError(f"numerator has an unexpected factor (stuck at {_wide_str(rest)})")
 
 
-def _twin_labeling(value: Fraction, lowers: tuple[int, ...]) -> Labeling:
+def _twin_labeling(value: Fraction, lowers: Sequence[int]) -> Labeling:
     """Read the labels off a denominator that must be 2^m * prod(lowers labeled 1).
 
     value's numerator is already the product of the uppers, so a denominator

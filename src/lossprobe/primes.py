@@ -13,16 +13,25 @@ pair.  Every twin entry is re-checked with an independent deterministic
 twelve-base Miller-Rabin test, so a sieve bug cannot silently corrupt an
 encoding.
 
+Both tables are read-only views of 4-byte ints over an array's bytes:
+an entry reads as an int, a slice is a view of the same bytes, and a
+write raises TypeError.  So a table costs four bytes an entry, where a
+tuple of ints costs about 36, and the cached table cannot be edited
+under the decoders that share it.
+
 The exact decoders read labels through one exponent reader,
 exponents_over: each listed prime's exponent capped at a given top, what
 is left once every listed prime is divided out, and which primes passed
 the cap.  The twin decoder caps at 1, the multi-class decoder at k - 1.
+Its remainder tree, like every product here, starts from runs of _LEAF
+values multiplied in one C-level chain.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from functools import lru_cache
 from itertools import compress, islice
 from typing import Iterator, Sequence
@@ -96,13 +105,13 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def first_primes(n: int) -> tuple[int, ...]:
-    """The first n plain primes, ascending."""
+def first_primes(n: int) -> memoryview:
+    """The first n plain primes, ascending, as a read-only table of 4-byte ints."""
     if n < 1:
         raise ValidationError("need at least one prime")
     # Rosser: the n-th prime is below n (ln n + ln ln n) for n >= 6
     limit = 16 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
-    return tuple(sieve_primes(limit)[:n])
+    return memoryview(array("I", sieve_primes(limit)[:n])).toreadonly()
 
 
 def _twin_sieve_bound(n: int) -> int:
@@ -155,19 +164,24 @@ def _twin_lowers(limit: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=8)
-def twin_primes(n: int) -> tuple[int, ...]:
-    """The first n twin-pair lower members p >= 5 with p + 2 prime, ascending."""
+def twin_primes(n: int) -> memoryview:
+    """The first n twin-pair lower members p >= 5 with p + 2 prime, ascending,
+    as a read-only table of 4-byte ints.
+
+    The scan fills the table's array directly, so no int object is kept
+    per entry.
+    """
     if n < 1:
         raise ValidationError("twin-prime table size must be >= 1")
     limit = _twin_sieve_bound(n)
-    lowers = tuple(islice(_twin_lowers(limit), n))
+    lowers = array("I", islice(_twin_lowers(limit), n))
     if len(lowers) < n:
         raise ValidationError(f"the twin sieve found fewer than {n} pairs below {limit}")
     for p in lowers:
         # independent route: the sieve result must survive Miller-Rabin
         if not (is_prime(p) and is_prime(p + 2)):
             raise ValidationError(f"sieve produced a non-twin entry {p}")
-    return lowers
+    return memoryview(lowers).toreadonly()
 
 
 def _product_tree(values: Sequence[int]) -> list[Sequence[int]]:
@@ -175,8 +189,7 @@ def _product_tree(values: Sequence[int]) -> list[Sequence[int]]:
 
     Each level halves the one below it (an odd one out is carried up as
     is), so the root is the product of all values at the cost of a few
-    balanced big-integer multiplications instead of one long chain.  The
-    leaves are values itself, not a copy.
+    balanced big-integer multiplications instead of one long chain.
     """
     levels = [values]
     while len(levels[-1]) > 1:
@@ -193,28 +206,35 @@ def _product_tree(values: Sequence[int]) -> list[Sequence[int]]:
 _LEAF = 32
 
 
+def _runs(values: Sequence[int]) -> list[int]:
+    """The products of values' consecutive runs of _LEAF, the last run maybe shorter."""
+    return [math.prod(values[i : i + _LEAF]) for i in range(0, len(values), _LEAF)]
+
+
 def tree_product(values: Sequence[int]) -> int:
     """Product of the values through a product tree over runs of _LEAF; 1 when empty."""
     if len(values) <= _LEAF:
         return math.prod(values)
-    leaves = [math.prod(values[i : i + _LEAF]) for i in range(0, len(values), _LEAF)]
-    return _product_tree(leaves)[-1][0]
+    return _product_tree(_runs(values))[-1][0]
 
 
 def remainders(value: int, moduli: Sequence[int]) -> list[int]:
-    """value mod m for every m, through a remainder tree over their product tree.
+    """value mod m for every m, through a remainder tree over runs of _LEAF moduli.
 
     value is reduced modulo the root once, then each node's remainder is
     reduced modulo its children, so no full-width division is repeated per
-    modulus (Bernstein, "Fast multiplication and its applications").
+    modulus (Bernstein, "Fast multiplication and its applications").  The
+    tree's leaves are the products of the runs tree_product multiplies
+    first, and each modulus is reduced from its run's remainder, so no
+    tree level holds a node per modulus.
     """
     if not moduli:
         return []
-    levels = _product_tree(moduli)
+    levels = _product_tree(_runs(moduli))
     rems = [value % levels[-1][0]]
     for level in reversed(levels[:-1]):
         rems = [rems[i // 2] % m for i, m in enumerate(level)]
-    return rems
+    return [rems[i // _LEAF] % m for i, m in enumerate(moduli)]
 
 
 def exponents_over(
@@ -224,8 +244,8 @@ def exponents_over(
 
     primes must be distinct primes.  One remainder tree over the p^top gives
     each exponent: top where p^top divides value, else the valuation of the
-    small remainder; at top 1 the tree's leaves are primes itself.  One
-    division by the product of the p^e gives rest.
+    small remainder; at top 1 the moduli are primes itself, read in place.
+    One division by the product of the p^e gives rest.
     Only when rest is not 1 are the further powers of the primes at top
     stripped, so rest then holds no listed prime, and over lists, in the
     given order, the primes whose exponent exceeds top.

@@ -1,11 +1,10 @@
 """Prime utilities: dual-route primality, twin pairs, the exponent reader."""
 
 import math
-import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lossprobe import primes
 from lossprobe.errors import ValidationError
@@ -61,7 +60,7 @@ def test_is_prime_rejects_strong_pseudoprimes_to_fewer_bases(bases, composite):
 
 
 def test_first_primes_head():
-    assert first_primes(10) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert tuple(first_primes(10)) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 def test_first_primes_requires_positive_count():
@@ -88,13 +87,13 @@ def test_twin_table_members_are_all_twin_primes():
 def test_first_primes_match_the_sieve():
     sieved = tuple(sieve_primes(20_000))  # 2262 primes
     for n in range(1, 2001):
-        assert first_primes.__wrapped__(n) == sieved[:n]
+        assert tuple(first_primes.__wrapped__(n)) == sieved[:n]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3000))
 def test_twin_table_matches_trial_division(n):
-    assert twin_primes.__wrapped__(n) == trial_division_twins(3000)[:n]
+    assert tuple(twin_primes.__wrapped__(n)) == trial_division_twins(3000)[:n]
 
 
 def test_twin_sieve_bound_covers_the_nth_pair():
@@ -174,7 +173,7 @@ def test_twin_scan_finds_the_pairs_across_segment_boundaries(monkeypatch, segmen
     # the full table is checked at the widest segments only
     sizes = (1, 2, 3, 4, 7, 30, 100, 300) + ((3000,) if segment > 60 else ())
     for n in sizes:
-        assert twin_primes.__wrapped__(n) == reference[:n]
+        assert tuple(twin_primes.__wrapped__(n)) == reference[:n]
     # p straddles when its flag, (p - 5) / 2 from the first, ends a segment;
     # then p = 3 + 2 * segment * k, so a segment divisible by 3 or 5 puts a
     # multiple of 3 at p or of 5 at p + 2, and no pair can straddle
@@ -184,19 +183,35 @@ def test_twin_scan_finds_the_pairs_across_segment_boundaries(monkeypatch, segmen
 
 def test_twin_table_memory_stays_near_its_flags(monkeypatch):
     # a list and a set of every prime below the bound once peaked at 12.1 MB,
-    # a flag for every integer at 2.03 MB, and a flag for every odd number
-    # up to the bound at 0.85 MB.  The scan holds one segment and a strike
-    # buffer a third its size; the rest is the table itself and the tuple's
+    # a flag for every integer at 2.03 MB, a flag for every odd number up
+    # to the bound at 0.85 MB, and a tuple of ints, about 36 B an entry, at
+    # 0.30 MB.  The scan holds one segment and a strike buffer a third its
+    # size; the rest is the table's four bytes an entry and its array's
     # growth.  The re-check keeps nothing past a call, and traced it takes seconds
     monkeypatch.setattr(primes, "is_prime", lambda k: True)
+    n = 7000
     tracemalloc.start()
     try:
-        lowers = twin_primes.__wrapped__(7000)
+        twin_primes.__wrapped__(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table = sys.getsizeof(lowers) + sum(map(sys.getsizeof, lowers))
-    assert peak <= table + 2 * primes._SEGMENT
+    assert peak <= 4 * n + 2 * primes._SEGMENT
+
+
+@pytest.mark.parametrize("table", [twin_primes, first_primes])
+def test_prime_tables_are_read_only_four_byte_views(table):
+    # the cached table is shared by every caller, so no caller may edit it
+    lowers = table(100)
+    assert lowers.itemsize == 4 and len(lowers) == 100
+    with pytest.raises(TypeError):
+        lowers[0] = 3
+    assert table(100) is lowers
+    # a slice is a view of the same bytes, as read-only as the table
+    head = lowers[:10]
+    assert head.obj is lowers.obj and tuple(head) == tuple(lowers)[:10]
+    with pytest.raises(TypeError):
+        head[0] = 3
 
 
 def test_sieve_strikes_hold_no_second_buffer():
@@ -231,8 +246,19 @@ def test_exponents_over_matches_trial_division(exponents, leftover, order, top):
     assert over == [p for p in primes if naive.get(p, 0) > top]
 
 
+# lengths on either side of whole runs of _LEAF = 32, read off a table in place
+# and as squares, against a value wider than any of their products
 @given(st.integers(0, 10**60), st.lists(st.integers(1, 10**9), max_size=100))
+@example(3**20000 + 1, first_primes(1000)[:0])
+@example(3**20000 + 1, first_primes(1000)[:1])
+@example(3**20000 + 1, first_primes(1000)[:31])
+@example(3**20000 + 1, first_primes(1000)[:32])
+@example(3**20000 + 1, [p * p for p in first_primes(1000)[:33]])
+@example(3**20000 + 1, first_primes(1000)[:64])
+@example(3**20000 + 1, [p * p for p in first_primes(1000)[:65]])
+@example(3**20000 + 1, first_primes(1000))
 def test_trees_match_plain_arithmetic(value, moduli):
+    assert primes._LEAF == 32
     assert tree_product(moduli) == math.prod(moduli)
     assert remainders(value, moduli) == [value % m for m in moduli]
 
