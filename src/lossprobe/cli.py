@@ -589,9 +589,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _validate_flag_combos(parser, args)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader gone early shows here, not at exit
+        return code
     except LossProbeError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader is gone (`| head -1`): what is still buffered, and
+        # the flush at exit, go to devnull (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -2,14 +2,13 @@
 
 The label-recovery constructions lean on two prime sequences: the lower
 members of twin prime pairs starting at (5, 7), and the plain primes
-2, 3, 5, ... used by the multi-class encoding.  Both come from a sieve of
-Eratosthenes that keeps one byte flag per odd number only.  The plain
-primes are sieved whole up to an estimate of where the n-th prime lies.
-The twin pairs come from a segmented scan up to a bound computed once
-from an estimate of where the n-th pair lies: it flags the odd numbers one
-segment at a time, so its memory is bounded by one segment whatever the
-table size, finds a pair as two adjacent set flags, and stops at the n-th
-pair.  Every twin entry is re-checked with an independent deterministic
+2, 3, 5, ... used by the multi-class encoding.  Both, and sieve_primes,
+read one segmented sieve of Eratosthenes that keeps one byte flag per odd
+number only and flags one segment at a time, so a scan's memory is
+bounded by one segment whatever the table size.  The sieve runs up to a
+limit or without end: a table scan stops at its n-th item, so it needs no
+estimate of where that item lies.  A twin pair is two adjacent set flags.
+Every twin entry is re-checked with an independent deterministic
 twelve-base Miller-Rabin test, so a sieve bug cannot silently corrupt an
 encoding.
 
@@ -82,26 +81,52 @@ def _strike(flags: bytearray, origin: int, p: int) -> None:
     flags[first::p] = bytearray(len(range(first, len(flags), p)))
 
 
-def _sieve(limit: int) -> bytearray:
-    """Flags for the odd numbers 1, 3, ... up to limit (limit >= 1): byte i is
-    1 exactly when 2i + 1 is prime (Eratosthenes).
+_TWIN_GAP = re.compile(b"\x01\x01")  # the flags of p and p + 2, odd numbers side by side
 
-    No even number gets a flag, which halves the bytes against one per
-    integer.
+# odd numbers flagged at a time by every scan: its memory, whatever the table size
+_SEGMENT = 1 << 16
+
+
+def _segments(limit: int | None = None) -> Iterator[tuple[int, bytearray]]:
+    """(origin, flags) for the odd numbers from 5 on, up to limit if one is
+    given: byte i of flags is 1 exactly when origin + 2i is prime.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
+    odd numbers are flagged _SEGMENT at a time, so one segment is all a
+    scan holds, and no even number gets a flag.  Each segment is struck by
+    the odd primes up to the square root of its last number, taken from a
+    sieve_primes call whose reach doubles once a segment passes it; each
+    such call sieves to about the square root of its caller's reach, so the
+    recursion ends.  A consumer that stops early stops the scan.
     """
-    flags = bytearray([1]) * ((limit + 1) // 2)
-    flags[0] = 0  # 1 is not prime
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            _strike(flags, 1, 2 * i + 1)
-    return flags
+    reach, base = 1, []
+    origin = 5
+    while limit is None or origin <= limit:
+        size = _SEGMENT if limit is None else min(_SEGMENT, (limit - origin) // 2 + 1)
+        end = origin + 2 * size - 2
+        if math.isqrt(end) > reach:
+            reach = max(2 * reach, math.isqrt(end))
+            base = sieve_primes(reach)[1:]  # 2 strikes no odd number
+        flags = bytearray([1]) * size
+        for p in base:
+            if p * p > end:
+                break
+            _strike(flags, origin, p)
+        yield origin, flags
+        del flags  # freed before the next segment is flagged
+        origin = end + 2
+
+
+def _primes(limit: int | None = None) -> Iterator[int]:
+    """The primes up to limit, or every prime, ascending."""
+    yield from (p for p in (2, 3) if limit is None or p <= limit)
+    for origin, flags in _segments(limit):
+        yield from compress(range(origin, origin + 2 * len(flags), 2), flags)
 
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit by Eratosthenes."""
-    if limit < 2:
-        return []
-    return [2, *compress(range(1, limit + 1, 2), _sieve(limit))]
+    return list(_primes(limit))
 
 
 @lru_cache(maxsize=8)
@@ -109,58 +134,25 @@ def first_primes(n: int) -> memoryview:
     """The first n plain primes, ascending, as a read-only table of 4-byte ints."""
     if n < 1:
         raise ValidationError("need at least one prime")
-    # Rosser: the n-th prime is below n (ln n + ln ln n) for n >= 6
-    limit = 16 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
-    return memoryview(array("I", sieve_primes(limit)[:n])).toreadonly()
+    return memoryview(array("I", islice(_primes(), n))).toreadonly()
 
 
-def _twin_sieve_bound(n: int) -> int:
-    """A sieve bound whose Hardy-Littlewood count 1.32 x / ln^2 x reaches n + 1 twin pairs.
+def _twin_lowers() -> Iterator[int]:
+    """The lower members p >= 5 of the twin pairs, ascending, without end.
 
-    The count undershoots the true one, so the bound lies past the n-th pair
-    (the + 1 is the dropped (3, 5) pair); the tests check this for every n
-    up to 100000, the twin construction's cap, so a short sieve is an error
-    rather than a retry.  x = (n + 1) ln^2 x / 1.32 is a contraction
-    past x = e^2, so a few fixed-point steps from 64 settle it.
+    A pair is two adjacent set flags of a segment.  The last flag of a
+    segment is carried into the next, so a pair that straddles the boundary
+    is found too.
     """
-    x = 64.0
-    for _ in range(8):
-        x = max(64.0, (n + 1) * math.log(x) ** 2 / 1.32)
-    return int(x) + 2
-
-
-_TWIN_GAP = re.compile(b"\x01\x01")  # the flags of p and p + 2, odd numbers side by side
-
-# odd numbers flagged at a time by the twin scan: its memory, whatever the table size
-_SEGMENT = 1 << 16
-
-
-def _twin_lowers(limit: int) -> Iterator[int]:
-    """The lower members p >= 5 of the twin pairs with p + 2 <= limit, ascending.
-
-    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
-    odd numbers from 5 are flagged _SEGMENT at a time and struck by the odd
-    primes up to sqrt(limit), so one segment is all the scan holds.  The
-    last flag of a segment is carried into the next, so a pair that
-    straddles the boundary is found too.  A consumer that stops early
-    stops the scan.
-    """
-    base = sieve_primes(math.isqrt(limit))[1:]  # 2 strikes no odd number
     carry = 0
-    for origin in range(5, limit + 1, 2 * _SEGMENT):
-        flags = bytearray([1]) * min(_SEGMENT, (limit - origin) // 2 + 1)
-        end = origin + 2 * len(flags) - 2
-        for p in base:
-            if p * p > end:
-                break
-            _strike(flags, origin, p)
+    for origin, flags in _segments():
         if carry and flags[0]:
             yield origin - 2
         # from 5 no match overlaps the next: p, p + 2, p + 4 prime needs p = 3;
         # no match, which holds flags, outlives the generator expression
         yield from (origin + 2 * m.start() for m in _TWIN_GAP.finditer(flags))
         carry = flags[-1]
-        del flags  # freed before the next segment is flagged
+        del flags  # dropped here too, or the scan holds two segments
 
 
 @lru_cache(maxsize=8)
@@ -173,10 +165,7 @@ def twin_primes(n: int) -> memoryview:
     """
     if n < 1:
         raise ValidationError("twin-prime table size must be >= 1")
-    limit = _twin_sieve_bound(n)
-    lowers = array("I", islice(_twin_lowers(limit), n))
-    if len(lowers) < n:
-        raise ValidationError(f"the twin sieve found fewer than {n} pairs below {limit}")
+    lowers = array("I", islice(_twin_lowers(), n))
     for p in lowers:
         # independent route: the sieve result must survive Miller-Rabin
         if not (is_prime(p) and is_prime(p + 2)):

@@ -49,13 +49,20 @@ def naive_factor_over(value: int, primes) -> tuple[dict[int, int], int]:
     return exponents, value
 
 
+def _prime_by_trial_division(k: int) -> bool:
+    return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+@cache
+def trial_division_primes(limit: int) -> tuple[int, ...]:
+    """The primes up to limit, by trial division alone."""
+    return tuple(filter(_prime_by_trial_division, range(limit + 1)))
+
+
 @cache
 def trial_division_twins(count: int) -> tuple[int, ...]:
     """The first count lower twins p >= 5 (p and p + 2 prime), by trial division alone."""
-
-    def prime(k: int) -> bool:
-        return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
-
+    prime = _prime_by_trial_division
     lowers: list[int] = []
     k = 5
     while len(lowers) < count:

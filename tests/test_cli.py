@@ -1061,3 +1061,22 @@ def test_cli_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv", ["plan --n 6000 --phi 1", "attack-demo --n 2000 --mode twin"]
+)
+def test_a_reader_gone_before_the_output_ends_the_command_quietly(argv):
+    # `lossprobe ... | head -1`: stdout is a pipe no one reads any more
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lossprobe", *argv.split()],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lossprobe import exact
 from lossprobe.cli import BINARY_WIRE_MAX_N, _respond
@@ -45,7 +45,7 @@ from lossprobe.exact import (
     decode_twin_prime,
     decode_twin_prime_value,
 )
-from lossprobe.mia import respond
+from lossprobe.mia import perturb_prime, respond
 from lossprobe.precision import LOOKUP_MAX_BATCH, _largest_binary_batch, build_tuple_lookup
 from lossprobe.primes import twin_primes
 
@@ -55,6 +55,7 @@ from conftest import (
     mp_binary_logloss_wire,
     mp_logloss_wire,
     naive_exact_score,
+    naive_exact_score_multiclass,
 )
 
 F = Fraction
@@ -448,6 +449,43 @@ def test_binary_denominator_tampering_is_silent_by_design():
     assert decode_binary(shifted).bits == (0, 1, 1, 1)
 
 
+# one tamper each: a prime's exponent shifted by one (2 and 3 are factors
+# of both constructions' scores, 1_000_003 of neither), the numerator moved
+# by one, or numerator and denominator swapped
+_SCORE_TAMPERS = (
+    None,
+    *((p, delta) for p in (2, 3, 1_000_003) for delta in (-1, 1)),
+    "numerator + 1",
+    "numerator - 1",
+    "swapped",
+)
+
+
+def _tamper(score: ExactScore, tamper) -> ExactScore:
+    if tamper is None:
+        return score
+    if isinstance(tamper, tuple):
+        return perturb_prime(score, *tamper)
+    num, den = score.value.numerator, score.value.denominator
+    if tamper == "swapped":
+        return ExactScore(F(den, num), score.n)
+    return ExactScore(F(num + (1 if tamper == "numerator + 1" else -1), den), score.n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=12), st.sampled_from(_SCORE_TAMPERS))
+@example([0] * 12, (1_000_003, -1))  # an odd denominator, its bit length still in range
+def test_binary_decoder_returns_only_a_labeling_that_scores_the_input(bits, tamper):
+    # closure: the decoder refuses with a typed error or returns a labeling
+    # whose own exact score is the value it was given
+    score = _tamper(exact_score(build_binary_vector(len(bits)), Labeling(tuple(bits))), tamper)
+    try:
+        labeling = decode_binary(score)
+    except LossProbeError:
+        return
+    assert naive_exact_score(binary_entries(len(labeling)), labeling.bits) == score.value
+
+
 def test_binary_limit_enforced():
     with pytest.raises(ValidationError):
         build_binary_vector(BINARY_MAX_N + 1)
@@ -819,6 +857,26 @@ def test_multiclass_all_denominators_are_codewords():
     # so unlike the twin construction small-prime tampering can land on
     # a valid codeword; 91/12 is honestly (3, 2)
     assert decode_multiclass(ExactScore(value=F(91, 12), n=2), 3).classes == (3, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 20).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(1, k), min_size=1, max_size=40 // k))
+    ),
+    st.sampled_from(_SCORE_TAMPERS),
+)
+def test_multiclass_decoder_returns_only_a_labeling_that_scores_the_input(drawn, tamper):
+    # closure, as for the binary decoder, over n * k <= 40
+    k, classes = drawn
+    matrix = build_multiclass_matrix(len(classes), k)
+    score = _tamper(exact_score_multiclass(matrix, ClassLabeling(tuple(classes), k)), tamper)
+    try:
+        labeling = decode_multiclass(score, k)
+    except LossProbeError:
+        return
+    rows = build_multiclass_matrix(len(labeling.classes), k).rows
+    assert naive_exact_score_multiclass(rows, labeling.classes) == score.value
 
 
 def test_multiclass_cell_limit():

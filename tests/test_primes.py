@@ -19,7 +19,7 @@ from lossprobe.primes import (
     twin_primes,
 )
 
-from conftest import naive_factor_over, trial_division_twins
+from conftest import naive_factor_over, trial_division_primes, trial_division_twins
 
 
 def test_sieve_and_miller_rabin_agree_to_ten_thousand():
@@ -84,10 +84,10 @@ def test_twin_table_members_are_all_twin_primes():
     assert list(lowers) == sorted(set(lowers))
 
 
-def test_first_primes_match_the_sieve():
-    sieved = tuple(sieve_primes(20_000))  # 2262 primes
+def test_first_primes_match_trial_division():
+    reference = trial_division_primes(20_000)  # 2262 primes
     for n in range(1, 2001):
-        assert tuple(first_primes.__wrapped__(n)) == sieved[:n]
+        assert tuple(first_primes.__wrapped__(n)) == reference[:n]
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,32 +96,24 @@ def test_twin_table_matches_trial_division(n):
     assert tuple(twin_primes.__wrapped__(n)) == trial_division_twins(3000)[:n]
 
 
-def test_twin_sieve_bound_covers_the_nth_pair():
-    # sized once: the estimate alone reaches the n-th pair, no retry needed
-    reference = trial_division_twins(3000)
-    for n in range(1, 3001):
-        assert primes._twin_sieve_bound(n) >= reference[n - 1] + 2
-
-
 def _spy(monkeypatch, name):
     calls = []
     real = getattr(primes, name)
 
-    def spy(arg):
-        calls.append(arg)
-        return real(arg)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(primes, name, spy)
     return calls
 
 
 def test_cold_twin_table_sieves_once_and_rechecks_every_entry(monkeypatch):
-    bounds, scans = _spy(monkeypatch, "_twin_sieve_bound"), _spy(monkeypatch, "_twin_lowers")
-    checks = _spy(monkeypatch, "is_prime")
+    scans, checks = _spy(monkeypatch, "_twin_lowers"), _spy(monkeypatch, "is_prime")
     lowers = twin_primes.__wrapped__(500)
-    assert bounds == [500] and len(scans) == 1
+    assert len(scans) == 1
     # the independent Miller-Rabin route sees every p and p + 2, and nothing else
-    assert checks == [q for p in lowers for q in (p, p + 2)]
+    assert checks == [(q,) for p in lowers for q in (p, p + 2)]
 
 
 @pytest.mark.parametrize("bad", [25, 23], ids=["composite-lower", "composite-upper"])
@@ -130,8 +122,8 @@ def test_twin_table_refuses_a_non_twin_from_the_sieve(bad, monkeypatch):
     # among the pairs (here between 17 and 29) must not reach a table
     real = primes._twin_lowers
 
-    def faulty(limit):
-        for p in real(limit):
+    def faulty():
+        for p in real():
             if p == 29:
                 yield bad
             yield p
@@ -141,16 +133,6 @@ def test_twin_table_refuses_a_non_twin_from_the_sieve(bad, monkeypatch):
         twin_primes.__wrapped__(10)
 
 
-def test_twin_table_refuses_a_short_sieve_at_once(monkeypatch):
-    # the bound reaches every table entry up to the cap (pinned below), so a
-    # shortfall is a fault to report, not a reason to scan again
-    monkeypatch.setattr(primes, "_twin_sieve_bound", lambda n: 16)
-    scans = _spy(monkeypatch, "_twin_lowers")
-    with pytest.raises(ValidationError, match="fewer than 10 pairs below 16"):
-        twin_primes.__wrapped__(10)
-    assert scans == [16]
-
-
 def test_sieve_sized_once_reaches_the_last_table_entry(monkeypatch):
     # the twelve-base re-check is pinned above; here only the scan runs
     monkeypatch.setattr(primes, "is_prime", lambda k: True)
@@ -158,9 +140,6 @@ def test_sieve_sized_once_reaches_the_last_table_entry(monkeypatch):
     lowers = twin_primes.__wrapped__(TWIN_MAX_N)
     assert len(scans) == 1
     assert lowers[-1] == 18_409_541
-    # every table size up to the cap is sized once: its bound is past its last pair
-    bound = primes._twin_sieve_bound
-    assert [n for n in range(1, TWIN_MAX_N + 1) if bound(n) < lowers[n - 1] + 2] == []
 
 
 @pytest.mark.parametrize("segment", range(1, 65))
@@ -217,14 +196,29 @@ def test_prime_tables_are_read_only_four_byte_views(table):
 def test_sieve_strikes_hold_no_second_buffer():
     # a bytes right-hand side is copied into a bytearray before a strike, so
     # each strike once held two zero buffers: 1.67 times the flags traced
-    limit = primes._twin_sieve_bound(7000)
     tracemalloc.start()
     try:
-        flags = primes._sieve(limit)
+        _, flags = next(primes._segments())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(flags) == primes._SEGMENT
     assert peak <= 1.4 * len(flags)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 7, 64])
+def test_short_segments_regrow_the_base_primes(monkeypatch, segment):
+    # each segment's striking primes come from a sieve_primes call that
+    # itself reads short segments, and is called again each time the scan
+    # passes its reach; the re-check would mask a scan fault, so it is off
+    monkeypatch.setattr(primes, "is_prime", lambda k: True)
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    reference = trial_division_primes(20_000)
+    assert tuple(sieve_primes(20_000)) == reference
+    assert tuple(first_primes.__wrapped__(len(reference))) == reference
+    # to the 3000th pair, 300581, a scan of segments of 3 flags or fewer takes 2-7 s
+    n = 3000 if segment > 3 else 300
+    assert tuple(twin_primes.__wrapped__(n)) == trial_division_twins(3000)[:n]
 
 
 @given(
