@@ -120,17 +120,31 @@ def fraction_sig_wire(value: Fraction, phi: int) -> str:
 
 
 def mp_logloss_wire(entries, labels, phi: int, dps: int = 50) -> str:
-    """Log loss via mpmath, rounded to the package's wire form."""
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        for x, b in zip(entries, labels):
-            # complement taken exactly; in floating point 1 - x underflows
-            # to zero for the binary construction's near-one entries
-            frac = x if b else 1 - x
-            total -= mp.log(mp.mpf(frac.numerator) / mp.mpf(frac.denominator))
-        ll = total / len(entries)
-        text = mp.nstr(ll, 35)
-    return sig_wire(Decimal(text), phi)
+    """Log loss via mpmath, rounded to the package's wire form.
+
+    The value is read to dps - 10 digits.  When the digits past phi read
+    5000... or 4999... up to the last one, the side of the half-even tie is
+    not settled (60-digit entries can put the log loss 1e-61 off a tie), so
+    dps doubles and the sum is taken again.  -ln x is never a decimal tie
+    for rational 0 < x < 1, so this ends.
+    """
+    while True:
+        with mp.workdps(dps):
+            total = mp.mpf(0)
+            for x, b in zip(entries, labels):
+                # complement taken exactly; in floating point 1 - x underflows
+                # to zero for the binary construction's near-one entries
+                frac = x if b else 1 - x
+                total -= mp.log(mp.mpf(frac.numerator) / mp.mpf(frac.denominator))
+            ll = total / len(entries)
+            read = dps - 10
+            value = Decimal(mp.nstr(ll, read))
+        digits = value.as_tuple().digits
+        tail = (digits + (0,) * read)[phi : read - 1]
+        if ll == 0 or tail not in ((5,) + (0,) * (len(tail) - 1), (4,) + (9,) * (len(tail) - 1)):
+            return sig_wire(value, phi)
+        assert dps < 5000, "log loss indistinguishable from a rounding tie"
+        dps *= 2
 
 
 def binary_entries(n: int) -> list[Fraction]:

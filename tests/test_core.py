@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lossprobe import core
 from lossprobe.core import (
@@ -315,6 +315,11 @@ def _decimal_only(entries, labels, phi) -> str:
     return core._rounded_ll(partial(core._ln_fraction, score.value), score.n, phi).wire()
 
 
+with localcontext() as _ctx:
+    _ctx.prec = 60
+    _X_AT_TIE = F(Decimal("-1.000000000055e-3").exp())
+
+
 @st.composite
 def near_tie_vectors(draw):
     """Entries whose LL, -ln x, is within 1e-12 of a half-even tie at phi digits.
@@ -340,6 +345,10 @@ def near_tie_vectors(draw):
         near_tie_vectors(),
     )
 )
+# an offset of 5e-14 lands on the next tie, 1.000000000055e-3: x rounded to
+# 60 digits leaves the log loss 1e-64 below it, so a fixed-precision
+# reading rounds up where the exact value rounds down
+@example(case=([_X_AT_TIE, 1 - _X_AT_TIE], [1, 0], 12))
 def test_logloss_double_bracket_matches_decimal_bracket_and_mpmath(case):
     entries, labels, phi = case
     wire = logloss_decimal(PredictionVector(tuple(entries)), Labeling(tuple(labels)), phi).wire()
