@@ -344,18 +344,22 @@ def _binary_ll(n: int, exponent: int, phi: int) -> DecimalScore:
     return _rounded_ll(partial(_binary_log, n, exponent), n, phi, terms)
 
 
-def _binary_batch_fits(b: int, phi: int) -> bool:
-    """decode_binary_from_decimal's rule in closed form, for b points at phi digits.
+def _largest_binary_batch(phi: int) -> int:
+    """The most points decode_binary_from_decimal separates at phi digits.
 
-    Adjacent exponents' LLs are ln 2 / b apart; when that exceeds one unit in
-    the phi-th digit of the top LL, C(b)/b, no two share a wire.  That unit
+    Adjacent exponents' LLs are ln 2 / b apart; b points fit when that
+    exceeds one unit in the phi-th digit of the top LL, C(b)/b.  That unit
     is 10^(top.adjusted() + 1 - phi), and ln 2 / b is never a power of ten,
     so the leading-digit places decide: no Decimal is built at the unit's
-    exponent, which scaleb refuses past about 2 * 10^6 digits.
+    exponent, which scaleb refuses past about 2 * 10^6 digits.  The gap
+    shrinks and the top LL grows with b, so the batches that fit form a prefix.
     """
-    ctx = _context(30)
-    top = ctx.divide(_binary_log(b, 0, 20), b)
-    return ctx.divide(_ln2(30), b).adjusted() > top.adjusted() - phi
+    def too_big(b: int) -> bool:
+        ctx = _context(30)
+        top = ctx.divide(_binary_log(b, 0, 20), b)
+        return ctx.divide(_ln2(30), b).adjusted() <= top.adjusted() - phi
+
+    return bisect_left(range(1, BINARY_DECIMAL_MAX_N + 1), True, key=too_big)
 
 
 def binary_decimal_response(labels: Labeling, phi: int) -> tuple[DecimalScore, DecimalScore]:

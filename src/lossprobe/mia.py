@@ -26,7 +26,8 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from typing import Protocol, Sequence
+from functools import partial
+from typing import Callable, Protocol, Sequence
 
 from .core import (
     DecimalScore,
@@ -259,7 +260,7 @@ def curator_oracle(hidden: MembershipVector) -> CuratorOracle:
     return CuratorOracle(hidden)
 
 
-def _recover_exact(view: ScoringView, n: int, mode: AttackMode) -> Labeling:
+def _recover_exact(view: ScoringView, n: int, mode: AttackMode) -> tuple[Labeling, None]:
     """Adversary side of the exact modes: one query by construction name, then decode.
 
     The curator scores the named construction over all its candidates, so
@@ -271,7 +272,18 @@ def _recover_exact(view: ScoringView, n: int, mode: AttackMode) -> Labeling:
     score = view.exact_response(mode.value)
     if score.n != n:
         raise ValidationError(f"the curator scored {score.n} candidates, not {n}")
-    return construction.decode(score)
+    return construction.decode(score), None
+
+
+def _graded(oracle: Curator, mode: AttackMode, recover: Callable) -> AttackReport:
+    """Run recover(view) -> (labeling, plan) on the oracle's view; grade it curator-side."""
+    before = oracle.queries_used
+    bits, plan = recover(oracle.scoring_view())
+    recovered = MembershipVector(bits)
+    return AttackReport(
+        mode=mode, queries_used=oracle.queries_used - before, recovered=recovered,
+        accuracy=oracle.assess(recovered), plan=plan,
+    )
 
 
 def one_query_attack(
@@ -284,31 +296,15 @@ def one_query_attack(
     Decoder errors propagate: they mean the oracle is dishonest or the
     session is misconfigured, and there is no labeling to report.
     """
-    before = oracle.queries_used
-    bits = _recover_exact(oracle.scoring_view(), len(candidates), mode)
-    recovered = MembershipVector(bits)
-    return AttackReport(
-        mode=mode,
-        queries_used=oracle.queries_used - before,
-        recovered=recovered,
-        accuracy=oracle.assess(recovered),
-    )
+    return _graded(oracle, mode, partial(_recover_exact, n=len(candidates), mode=mode))
 
 
 def fixed_precision_attack(
     candidates: CandidateSet, oracle: Curator, phi: int
 ) -> AttackReport:
     """Membership recovery from rounded (LL, AUC) answers, batch by batch."""
-    before = oracle.queries_used
-    bits, plan = batched_inference(oracle.scoring_view(), len(candidates), phi)
-    recovered = MembershipVector(bits)
-    return AttackReport(
-        mode=AttackMode.FIXED_PRECISION,
-        queries_used=oracle.queries_used - before,
-        recovered=recovered,
-        accuracy=oracle.assess(recovered),
-        plan=plan,
-    )
+    recover = partial(batched_inference, n=len(candidates), phi=phi)
+    return _graded(oracle, AttackMode.FIXED_PRECISION, recover)
 
 
 def perturb_prime(score: ExactScore, prime: int, delta: int) -> ExactScore:

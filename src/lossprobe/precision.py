@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -40,10 +39,7 @@ from .core import (
 )
 from .errors import LookupBuildError, DecodeError, ValidationError
 from .exact import (
-    BINARY_DECIMAL_MAX_N,
-    _binary_batch_fits,
-    _mask_labeling,
-    decode_binary_from_decimal,
+    _largest_binary_batch, _mask_labeling, binary_decimal_response, decode_binary_from_decimal,
 )
 
 if TYPE_CHECKING:  # mia imports this module
@@ -339,13 +335,6 @@ class AttackPlan(_Frozen):
         return len(self.batches)
 
 
-def _largest_binary_batch(phi: int) -> int:
-    # the gap shrinks and the top LL grows with b, so the batches that fit form a prefix
-    return bisect_left(
-        range(1, BINARY_DECIMAL_MAX_N + 1), True, key=lambda b: not _binary_batch_fits(b, phi)
-    )
-
-
 def plan_batches(n: int, phi: int) -> AttackPlan:
     """Choose batch size and method for a phi-digit oracle over n points.
 
@@ -386,9 +375,9 @@ def batched_inference(
     """Recover all n hidden labels from a phi-digit scoring oracle.
 
     Executes plan_batches: each query scores one batch of indices, and the
-    rounded answers are inverted either through the curated tuple lookup
-    or the binary construction's decimal decoder.  Returns the recovered
-    labeling and the executed plan (one query per batch, exactly).
+    rounded (LL, AUC) pair is inverted through the curated tuple lookup or
+    by the binary decimal decoder, whose labeling must rescore to both.
+    Returns the labeling and the executed plan (one query per batch, exactly).
     """
     plan = plan_batches(n, phi)
     recovered: list[int | None] = [None] * n
@@ -399,8 +388,10 @@ def batched_inference(
             ll, auc_score = oracle.decimal_scores(lookup.entries, phi, indices=ask)
             labeling = lookup.labeling_for(ll, auc_score)
         else:
-            ll, _ = oracle.decimal_scores_for_binary(len(ask), phi, indices=ask)
+            ll, auc_score = oracle.decimal_scores_for_binary(len(ask), phi, indices=ask)
             labeling = decode_binary_from_decimal(ll, len(ask))
+            if binary_decimal_response(labeling, phi) != (ll, auc_score):
+                raise DecodeError(f"AUC {auc_score.wire()} contradicts the LL's labeling")
         for pos, bit in zip(ask, labeling.bits):
             if recovered[pos] is not None and recovered[pos] != bit:
                 raise DecodeError(

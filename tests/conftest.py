@@ -215,6 +215,30 @@ def vectors_with_labels(draw, max_size: int = 10):
     return entries, labels
 
 
+@st.composite
+def tampered_wires(draw, wire: str, phi: int) -> str:
+    """A phi-digit wire as sent, its last digit moved by one, one digit
+    changed, its exponent moved by one, or one drawn at random; an ND wire
+    is only ever sent or replaced by a random one."""
+    how = draw(st.sampled_from(["sent", "last digit", "one digit", "exponent", "random"]))
+    if how == "sent":
+        return wire
+    if how == "random" or wire == "ND":
+        mantissa = Decimal(draw(st.integers(1, 10**phi - 1)))
+        return sig_wire(mantissa.scaleb(draw(st.integers(-6, 3))), phi)
+    value = Decimal(wire)
+    place = value.adjusted() + 1 - phi  # the exponent of the last digit
+    if how == "last digit":
+        value += Decimal(draw(st.sampled_from([-1, 1]))).scaleb(place)
+    elif how == "one digit":
+        digits = list(wire.split("e")[0].replace(".", ""))
+        digits[draw(st.integers(0, phi - 1))] = str(draw(st.integers(0, 9)))
+        value = Decimal(int("".join(digits))).scaleb(place)
+    else:
+        value = value.scaleb(draw(st.sampled_from([-1, 1])))
+    return sig_wire(abs(value), phi)  # a zero wire moved down by one
+
+
 @pytest.fixture(scope="session")
 def twin_pairs_100():
     # frozen head of the twin-prime sequence used by the spot checks

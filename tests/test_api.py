@@ -1,10 +1,16 @@
 """The public API: changing `lossprobe.__all__` takes an edit here.
 
 README's "Python API" block is run as written, each `expression  # value`
-line checked against the value's repr.
+line checked against the value's repr, and so is each of its `$ ` shell
+examples, against the lines shown below it.
 """
 
 import ast
+import os
+import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import lossprobe
@@ -172,3 +178,43 @@ def test_the_readme_python_api_block_runs_as_written():
             exec(source, namespace)
     assert len(shown) == 6
     assert [got for _, got, _ in shown] == [want for _, _, want in shown], shown
+
+
+def _readme_sessions(readme: str) -> list[tuple[str, list[str]]]:
+    """Each `$ ` command of README's shell blocks, continuation lines joined,
+    with the lines shown below it."""
+    sessions = []
+    for block in re.findall(r"```(?:sh|text)\n(.*?)\n```", readme, re.S):
+        lines, shown = iter(block.splitlines()), None
+        for line in lines:
+            if line.startswith("$ "):
+                command, shown = line[2:], []
+                while command.endswith("\\"):
+                    command = command[:-1] + next(lines)
+                sessions.append((command, shown))
+            elif line and shown is not None:
+                shown.append(line)
+    return sessions
+
+
+def test_the_readme_shell_examples_run_as_written(tmp_path):
+    # every `lossprobe` in a command runs as `python -m lossprobe`, in a
+    # directory whose hidden.bits holds 101; each line shown is a line
+    # printed, and a line with `...` is a prefix of it up to there
+    sessions = _readme_sessions((ROOT / "README.md").read_text())
+    assert len(sessions) == 9
+    (tmp_path / "hidden.bits").write_text("101\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    python = shlex.quote(sys.executable) + " -m lossprobe "
+    for command, shown in sessions:
+        run = re.sub(r"(^|\| *)lossprobe ", lambda m: m.group(1) + python, command)
+        result = subprocess.run(
+            run, shell=True, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (result.returncode, result.stderr) == (0, ""), command
+        printed = result.stdout.splitlines()
+        assert len(printed) == len(shown), (command, printed)
+        for want, have in zip(shown, printed):
+            head, elided, _ = want.partition("...")
+            assert have.startswith(head) if elided else have == want, (command, have)

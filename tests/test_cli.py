@@ -21,9 +21,11 @@ from hypothesis import given, settings, strategies as st
 from lossprobe import cli
 from lossprobe.cli import BINARY_WIRE_MAX_N, _RemoteCurator, _serve_one, main
 from lossprobe.core import ExactScore, Labeling, exact_score, format_rational, parse_rational
-from lossprobe.errors import OracleProtocolError, ValidationError
+from lossprobe.errors import DecodeError, OracleProtocolError, ValidationError
 from lossprobe.exact import binary_decimal_response, build_twin_prime_vector
-from lossprobe.mia import CandidateSet, CuratorOracle, MembershipVector, one_query_attack
+from lossprobe.mia import (
+    CandidateSet, CuratorOracle, MembershipVector, fixed_precision_attack, one_query_attack,
+)
 from lossprobe.precision import max_unique_batch, query_bound
 from lossprobe.primes import twin_primes
 
@@ -695,6 +697,19 @@ def test_remote_curator_request_bytes():
     curator, server = remote_curator(f"LL {ll.wire()} AUC {auc_score.wire()}\n", phi=2)
     assert curator.decimal_scores_for_binary(2, 2, indices=[2, 0]) == (ll, auc_score)
     assert server.stdin.getvalue() == 'SCORE {"indices":[2,0],"kind":"binary","n":2}\n'
+
+
+def test_remote_binary_batch_refuses_an_auc_its_labeling_does_not_score():
+    # one phi-5 batch of 14: the served LL is honest, the AUC is not
+    bits = Labeling.from_string("01101001110100")
+    ll, auc_score = binary_decimal_response(bits, 5)
+    assert auc_score.wire() != "9.9999e-1"
+    server = ScriptedServer(f"LL {ll.wire()} AUC 9.9999e-1\n")
+    curator = _RemoteCurator(server.stdin, server.stdout, MembershipVector(bits), 5)
+    with pytest.raises(DecodeError, match="AUC 9.9999e-1 contradicts"):
+        fixed_precision_attack(CandidateSet.numbered(14), curator, 5)
+    request = json.loads(server.stdin.getvalue().removeprefix("SCORE "))
+    assert request == {"indices": list(range(14)), "kind": "binary", "n": 14}
 
 
 def test_remote_curator_counts_every_request_sent():

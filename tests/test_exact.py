@@ -35,6 +35,7 @@ from lossprobe.exact import (
     BINARY_MAX_N,
     MULTICLASS_MAX_CELLS,
     TWIN_MAX_N,
+    _largest_binary_batch,
     binary_decimal_response,
     build_binary_vector,
     build_multiclass_matrix,
@@ -46,7 +47,7 @@ from lossprobe.exact import (
     decode_twin_prime_value,
 )
 from lossprobe.mia import perturb_prime, respond
-from lossprobe.precision import LOOKUP_MAX_BATCH, _largest_binary_batch, build_tuple_lookup
+from lossprobe.precision import LOOKUP_MAX_BATCH, build_tuple_lookup
 from lossprobe.primes import twin_primes
 
 from conftest import (
@@ -56,6 +57,7 @@ from conftest import (
     mp_logloss_wire,
     naive_exact_score,
     naive_exact_score_multiclass,
+    tampered_wires,
 )
 
 F = Fraction
@@ -611,6 +613,24 @@ def test_binary_decimal_decode_never_wrong_sweep():
                 assert decode_binary_from_decimal(ll, n).bits == bits
             except PrecisionError:
                 assert _largest_binary_batch(phi) < n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_binary_decimal_decoder_returns_only_a_labeling_that_rounds_to_the_input(phi, data):
+    # closure for the rounded route: at n <= 12 or the planned batch at phi,
+    # an honest or tampered LL wire is refused with a typed error or decodes
+    # to a labeling whose own LL is that wire
+    planned = st.just(_largest_binary_batch(phi)) if phi > 1 else st.nothing()
+    n = data.draw(st.integers(1, 12) | planned)
+    bits = Labeling(tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    wire = data.draw(tampered_wires(binary_decimal_response(bits, phi)[0].wire(), phi))
+    try:
+        ll = parse_decimal_score(wire, phi, ScoreKind.LOGLOSS)
+        labeling = decode_binary_from_decimal(ll, n)
+    except LossProbeError:
+        return
+    assert binary_decimal_response(labeling, phi)[0] == ll
 
 
 def test_binary_decimal_closed_form_matches_entries_path():

@@ -15,10 +15,12 @@ from lossprobe.core import (
     ScoreKind,
     auc,
     logloss_decimal,
+    parse_decimal_score,
 )
 from lossprobe.errors import (
     DecodeError,
     LookupBuildError,
+    LossProbeError,
     ValidationError,
 )
 from lossprobe.exact import BINARY_DECIMAL_MAX_N, binary_decimal_response, decode_binary_from_decimal
@@ -39,6 +41,7 @@ from conftest import (
     mp_binary_batch_precisions,
     mp_logloss_wire,
     naive_auc,
+    tampered_wires,
 )
 
 F = Fraction
@@ -155,6 +158,26 @@ def test_lookup_miss_raises():
             DecimalScore("9.9e9", 2, ScoreKind.LOGLOSS),
             DecimalScore("5.0e-1", 2, ScoreKind.AUC),
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_lookup_returns_only_a_labeling_that_rounds_to_the_pair(phi, data):
+    # closure for the tuple table: over curated prefixes, an honest or
+    # tampered (LL, AUC) pair is refused or maps to a labeling whose own
+    # rounded scores are that pair
+    lookup = build_tuple_lookup(data.draw(st.integers(1, len(curated_batch_vector(phi)))), phi)
+    vec, b = PredictionVector(lookup.entries), len(lookup.entries)
+    bits = Labeling(tuple(data.draw(st.lists(st.integers(0, 1), min_size=b, max_size=b))))
+    ll_wire = data.draw(tampered_wires(logloss_decimal(vec, bits, phi).wire(), phi))
+    auc_wire = data.draw(tampered_wires(auc(vec, bits, phi).wire(), phi))
+    try:
+        ll = parse_decimal_score(ll_wire, phi, ScoreKind.LOGLOSS)
+        auc_score = parse_decimal_score(auc_wire, phi, ScoreKind.AUC)
+        labeling = lookup.labeling_for(ll, auc_score)
+    except LossProbeError:
+        return
+    assert (logloss_decimal(vec, labeling, phi), auc(vec, labeling, phi)) == (ll, auc_score)
 
 
 def test_pigeonhole_guard_rejects_before_search():
@@ -595,3 +618,23 @@ def test_refill_answers_catch_a_lying_curator():
     # second query re-asks indices 1..4; the flipped story disagrees there
     with pytest.raises(DecodeError):
         batched_inference(_TwoFacedOracle(6, flip_index=2), 6, 1)
+
+
+class _AucLiar:
+    """Answers each binary query with the honest LL and an AUC of 9.9...e-1."""
+
+    def __init__(self, hidden):
+        self._view = curator_oracle(hidden).scoring_view()
+
+    def decimal_scores_for_binary(self, n, phi, indices=None):
+        ll, _ = self._view.decimal_scores_for_binary(n, phi, indices)
+        return ll, parse_decimal_score(f"9.{'9' * (phi - 1)}e-1", phi, ScoreKind.AUC)
+
+
+@pytest.mark.parametrize("phi", [5, 6, 12])
+def test_binary_batches_refuse_an_auc_their_labeling_does_not_score(phi):
+    # the LL decodes honestly, so only the whole answer shows the lie
+    hidden = MembershipVector.random(40, seed=phi)
+    assert plan_batches(40, phi).method == "binary-decimal"
+    with pytest.raises(DecodeError, match="contradicts"):
+        batched_inference(_AucLiar(hidden), 40, phi)
