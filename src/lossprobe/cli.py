@@ -74,15 +74,19 @@ def _dump(doc: dict) -> str:
 def _emit(doc: dict, out: str) -> None:
     text = _dump(doc) + "\n"
     if out == "-":
-        sys.stdout.write(text)
-    else:
+        sys.stdout.write(text)  # a closed pipe is main's to handle
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write {out}: {e}") from None
 
 
 def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return Path(source).read_text()
+    try:
+        return sys.stdin.read() if source == "-" else Path(source).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read {source}: {e}") from None
 
 
 def _parse_doc(text: str) -> dict:

@@ -374,8 +374,6 @@ def _ln_fraction(value: Fraction, sig_digits: int) -> Decimal:
     ln(q) eats into the guard digits (p/q near 1).
     """
     p, q = value.numerator, value.denominator
-    if p == q:
-        return Decimal(0)
     magnitude = len(str(p.bit_length() + q.bit_length()))
     prec = sig_digits + 10 + magnitude
     while True:

@@ -85,7 +85,7 @@ def max_unique_batch(phi: int) -> int:
     """floor(log2(10^phi * (10^phi + 1))): the (AUC, LL) pairs for one LL exponent.
 
     A count, not a bound: the LL wire carries its own exponent, so a batch
-    can separate more labelings.  The lookup guard still caps batches here.
+    can separate more labelings, and no lookup refuses a batch past it.
 
     The log is 2 phi log2 10 + log2(1 + 10^-phi), never an integer (the
     count has a factor 5).  Doubles bracket it, and only a bracket that
@@ -189,16 +189,10 @@ class TupleLookup(_Frozen):
 LOOKUP_MAX_BATCH = 16
 
 
-def _guard_batch_size(b: int, phi: int) -> None:
-    # rejecting up front keeps a doomed 2^b enumeration from ever starting
+def _guard_batch_size(b: int) -> None:
+    # rejecting up front keeps an unaffordable 2^b enumeration from starting
     if b < 1:
         raise ValidationError("batch must hold at least one point")
-    cap = max_unique_batch(phi)
-    if b > cap:
-        raise ValidationError(
-            f"batch of {b} exceeds the {cap}-point pigeonhole cap "
-            f"at {phi} significant digits"
-        )
     if b > LOOKUP_MAX_BATCH:
         raise ValidationError(
             f"batch of {b} exceeds the enumeration guard of {LOOKUP_MAX_BATCH}"
@@ -273,7 +267,7 @@ def tuple_lookup_for(entries: Sequence[Fraction], phi: int) -> TupleLookup:
     to the same (LL, AUC) tuple at phi digits.
     """
     vec = tuple(Fraction(e) for e in entries)
-    _guard_batch_size(len(vec), phi)
+    _guard_batch_size(len(vec))
     return TupleLookup(entries=vec, phi=phi, table=_tuple_table(vec, phi))
 
 
@@ -286,9 +280,10 @@ def build_tuple_lookup(b: int, phi: int) -> TupleLookup:
     These prefixes are the only tuple-table batches plan_batches asks for.
     Each is verified by exhaustive enumeration of its 2^b labelings on
     first use and cached per (phi, b).  Raises ValidationError when the
-    guards rule b out or no curated vector reaches b points at phi digits.
+    enumeration guard rules b out or no curated vector reaches b points at
+    phi digits.
     """
-    _guard_batch_size(b, phi)
+    _guard_batch_size(b)
     key = (phi, b)
     found = _LOOKUP_CACHE.get(key)
     if found is None:
@@ -314,7 +309,7 @@ class BatchSpec(_Frozen):
 class AttackPlan(_Frozen):
     """Query schedule for recovering n labels from a phi-digit oracle.
 
-    Its cap and formula bound are max_unique_batch(phi) and query_bound(n, phi).
+    `plan` prints max_unique_batch(phi) and query_bound(n, phi) beside it.
     """
 
     n: int

@@ -11,9 +11,16 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import lossprobe
+from lossprobe import (
+    ClassLabeling, DecodeError, ExactScore, Labeling, PredictionVector, ScoreKind, ValidationError,
+)
+from lossprobe.primes import twin_primes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,6 +88,45 @@ def test_public_names_are_pinned():
         getattr(lossprobe, name)  # raises if the name does not resolve
     # the size guards are module constants, not public configuration
     assert not {"Limits", "DEFAULT_LIMITS"} & set(dir(lossprobe))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: lossprobe.build_twin_prime_vector(0), ValidationError,
+         "need at least one datapoint"),
+        (lambda: lossprobe.decode_twin_prime_value(F(1, 12)), DecodeError,
+         "numerator of 1 encodes no datapoints"),
+        (lambda: lossprobe.decode_binary_from_decimal(
+            lossprobe.parse_decimal_score("5e-1", 1, ScoreKind.AUC), 2),
+         ValidationError, "need a log-loss score"),
+        (lambda: lossprobe.binary_decimal_response(Labeling((1, 0)), 0), ValidationError,
+         "need at least one significant digit"),
+        (lambda: lossprobe.logloss_decimal(PredictionVector((F(1, 2),)), Labeling((1,)), 0),
+         ValidationError, "need at least one significant digit"),
+        (lambda: lossprobe.max_unique_batch(0), ValidationError,
+         "need at least one significant digit"),
+        (lambda: lossprobe.build_multiclass_matrix(3, 1), ValidationError,
+         "need at least two classes"),
+        (lambda: lossprobe.decode_multiclass(ExactScore(F(2), 1), 1), ValidationError,
+         "need at least two classes"),
+        (lambda: lossprobe.plan_batches(0, 2), ValidationError, "need at least one label"),
+        (lambda: twin_primes(0), ValidationError, "twin-prime table size must be >= 1"),
+        (lambda: lossprobe.auc_exact(PredictionVector((F(1, 2),)), Labeling((1, 0))),
+         ValidationError, "vector has 1 entries but labeling has 2"),
+        (lambda: lossprobe.exact_score_multiclass(
+            lossprobe.build_multiclass_matrix(2, 3), ClassLabeling((1,), 3)),
+         ValidationError, "matrix has 2 rows but labeling has 1"),
+        (lambda: lossprobe.exact_score_multiclass(
+            lossprobe.build_multiclass_matrix(1, 3), ClassLabeling((1,), 2)),
+         ValidationError, "matrix has 3 classes but labeling says 2"),
+    ],
+)
+def test_public_refusals_name_their_reason(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def _referenced_names(path: Path) -> set[str]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -104,6 +105,45 @@ def test_build_to_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["entries"] == ["5/7", "11/13", "17/19"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["score", "--vector", "{missing}", "--labels", "1"], id="score-missing"),
+        pytest.param(["score", "--vector", "{dir}", "--labels", "1"], id="score-directory"),
+        pytest.param(["oracle-serve", "--labels", "{missing}", "--mode", "exact"], id="serve-missing"),
+        pytest.param(["oracle-serve", "--labels", "{utf16}", "--mode", "exact"], id="serve-utf16"),
+        pytest.param(["decode", "--kind", "twin", "--score", "{utf16}"], id="decode-utf16"),
+        pytest.param(["build", "twin", "--n", "3", "--out", "{missing}/x.json"], id="build-out"),
+    ],
+)
+def test_file_errors_exit_1_with_one_error_line(tmp_path, capsys, args):
+    (tmp_path / "utf16.txt").write_bytes(b"\xff\xfe1\x000\x00")  # a UTF-16 byte-order mark
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "utf16": tmp_path / "utf16.txt"}
+    code, out, err = run_cli(capsys, *(a.format_map(paths) for a in args), stdin_text="")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_undecodable_stdin_exits_1_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), "utf-8", "strict"))
+    assert main(["score", "--vector", "-", "--labels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read -: ") and err.count("\n") == 1
+
+
+def test_the_console_script_entry_point_runs_the_cli(capsys, monkeypatch):
+    # [project.scripts] in pyproject.toml, read without tomllib (Python 3.10)
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    found = re.search(r'^\[project\.scripts\]\nlossprobe = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert found is not None
+    entry = getattr(importlib.import_module(found[1]), found[2])
+    args = ["plan", "--n", "60", "--phi", "2"]
+    monkeypatch.setattr(sys, "argv", ["lossprobe", *args])  # a console script passes no argv
+    assert entry() == 0
+    assert (0, capsys.readouterr().out, "") == run_proc(*args)
 
 
 # score

@@ -948,7 +948,7 @@ def test_multiclass_cell_limit():
             id="multiclass-decode",
         ),
         pytest.param(
-            # at 3 digits the pigeonhole cap is 19, so only the guard can refuse
+            # the guard refuses before the curated 12-point vector is consulted
             lambda: build_tuple_lookup(LOOKUP_MAX_BATCH + 1, 3),
             "exceeds the enumeration guard of 16",
             id="tuple-lookup",

@@ -180,11 +180,16 @@ def test_lookup_returns_only_a_labeling_that_rounds_to_the_pair(phi, data):
     assert (logloss_decimal(vec, labeling, phi), auc(vec, labeling, phi)) == (ll, auc_score)
 
 
-def test_pigeonhole_guard_rejects_before_search():
-    # 2^7 labelings cannot fit in 10 * 11 one-digit tuples
-    with pytest.raises(ValidationError):
+def test_lookup_past_the_pigeonhole_count_enumerates_then_names_a_collision():
+    # max_unique_batch(1) = 6 is no bound (the LL wire carries its own
+    # exponent), so a 7-point batch is enumerated and refused by what it
+    # shows: the first two colliding labelings in mask order
+    with pytest.raises(ValidationError, match="no curated vector reaches 7 points at 1"):
         build_tuple_lookup(7, 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(
+        LookupBuildError,
+        match=r"labelings 1000000 and 1100000 both round to \('1e0', '0e0'\) at 1 significant",
+    ):
         tuple_lookup_for([F(i + 1, 9) for i in range(7)], 1)
 
 
@@ -196,7 +201,7 @@ def test_build_rejects_nonpositive_batch():
 @pytest.mark.parametrize("b,phi", [(13, 4), (9, 2), (13, 2)])
 def test_build_rejects_batches_past_the_curated_vector(b, phi):
     # four digits take the twelve-point three-digit vector; nine and thirteen
-    # points pass the two-digit pigeonhole cap but not the eight-point vector
+    # points pass the enumeration guard but not the eight-point vector
     with pytest.raises(ValidationError) as err:
         build_tuple_lookup(b, phi)
     assert f"{b} points at {phi} significant digits" in str(err.value)
